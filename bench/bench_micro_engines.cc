@@ -155,7 +155,8 @@ void Run(JsonReporter* json) {
       auto [iters, ms] = TimeLoop(
           [&] {
             CostMeter meter;
-            auto r = ex.Execute(flagship, &meter);
+            auto r = ex.ExecuteCompiled(ex.Compile(flagship), nullptr,
+                                        nullptr, &meter);
             rows += r.ok() ? r->NumRows() : 0;
           },
           500.0, 1u << 14);
@@ -190,7 +191,8 @@ void Run(JsonReporter* json) {
         [&] {
           for (const workload::WorkloadQuery& wq : w.queries) {
             CostMeter meter;
-            auto r = ex.Execute(wq.query, &meter);
+            auto r = ex.ExecuteCompiled(ex.Compile(wq.query), nullptr,
+                                        nullptr, &meter);
             rows += r.ok() ? r->NumRows() : 0;
           }
         },
@@ -233,7 +235,11 @@ void Run(JsonReporter* json) {
         [&] {
           for (const workload::WorkloadQuery& wq : w.queries) {
             CostMeter meter;
-            auto r = matcher.Match(wq.query, &meter);
+            auto plan = matcher.Compile(wq.query);
+            if (!plan.ok()) continue;
+            auto r = matcher.MatchSharded(*plan, nullptr, &meter,
+                                          /*pool=*/nullptr,
+                                          /*max_shards=*/0);
             if (r.ok()) {
               rows += r->NumRows();
               ++matched;

@@ -8,11 +8,9 @@
 //      throughput is *wall-clock* queries/second; the simulated TTI is
 //      printed alongside and must be identical at every thread count
 //      (the equivalence tests enforce the same bit-for-bit).
-//   2. `Executor::ExecuteSharded` — one heavy scan-dominated query whose
-//      initial index range is split across workers.
-//   3. `TraversalMatcher::MatchSharded` — the graph-store analogue: the
-//      first pattern step's candidate range is split across workers.
-//   4. Parallel load — block-parallel dataset generation plus the
+//   2. `TraversalMatcher::MatchSharded` — the first pattern step's
+//      candidate range of a heavy traversal is split across workers.
+//   3. Parallel load — block-parallel dataset generation plus the
 //      permutation/sub-shard-parallel `TripleTable::BulkLoad`.
 //
 // Wall-clock speedup depends on the machine's core count; the simulated
@@ -25,7 +23,6 @@
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
 #include "graphstore/matcher.h"
-#include "relstore/executor.h"
 #include "relstore/triple_table.h"
 #include "sparql/parser.h"
 
@@ -116,63 +113,6 @@ void RunBatchScaling(JsonReporter* json) {
   Rule();
   std::printf("simulated TTI identical across thread counts: %s\n\n",
               tti_consistent ? "yes" : "NO (BUG)");
-}
-
-void RunShardedScan(JsonReporter* json) {
-  std::printf("Sharded scan execution (Executor::ExecuteSharded)\n\n");
-
-  rdf::Dataset ds = MakeDataset(WorkloadKind::kYago);
-  core::DualStoreConfig cfg;
-  cfg.use_graph = false;
-  core::DualStore store(&ds, cfg);
-
-  // A scan-heavy star query: every person with a birth city, a name and
-  // an advisor — large extents, large intermediates.
-  auto q = sparql::Parser::Parse(
-      "SELECT ?p ?c ?a WHERE { ?p y:wasBornIn ?c . "
-      "?p y:hasAcademicAdvisor ?a . }");
-  if (!q.ok()) {
-    std::fprintf(stderr, "parse failed: %s\n", q.status().ToString().c_str());
-    std::abort();
-  }
-
-  Rule();
-  std::printf("%8s %12s %10s %12s %16s\n", "shards", "wall ms", "speedup",
-              "rows", "simulated s");
-  Rule();
-  double base_ms = 0;
-  for (int shards = 1; shards <= MaxThreads(); shards *= 2) {
-    ThreadPool pool(static_cast<size_t>(shards));
-    // Re-run a few times so wall time is measurable at bench scale.
-    const int reps = 5;
-    size_t rows = 0;
-    double sim = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r) {
-      CostMeter meter;
-      auto result = store.executor().ExecuteSharded(*q, &meter, &pool, shards);
-      if (!result.ok()) {
-        std::fprintf(stderr, "query failed: %s\n",
-                     result.status().ToString().c_str());
-        std::abort();
-      }
-      rows = result->NumRows();
-      sim = meter.sim_micros();
-    }
-    const double ms = WallMillis(t0) / reps;
-    if (shards == 1) base_ms = ms;
-    std::printf("%8d %12.2f %9.2fx %12zu %16.4f\n", shards, ms,
-                base_ms / ms, rows, Sec(sim));
-    if (json != nullptr) {
-      json->Row("sharded_scan",
-                {{"shards", shards},
-                 {"simulated_s", Sec(sim)},
-                 {"rows", rows},
-                 {"wall_ms", ms},
-                 {"wall_speedup", base_ms / ms}});
-    }
-  }
-  Rule();
 }
 
 void RunShardedTraversal(JsonReporter* json) {
@@ -302,7 +242,6 @@ int main(int argc, char** argv) {
   dskg::bench::JsonReporter json(argc, argv, "bench_parallel_scaling");
   dskg::bench::JsonReporter* j = json.enabled() ? &json : nullptr;
   dskg::bench::RunBatchScaling(j);
-  dskg::bench::RunShardedScan(j);
   dskg::bench::RunShardedTraversal(j);
   dskg::bench::RunParallelLoad(j);
   return 0;

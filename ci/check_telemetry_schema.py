@@ -57,7 +57,7 @@ BASES = {
             "session.cache_hits",
             "session.executions",
         ],
-        ["session.prepare_us", "session.execute_us"],
+        ["session.prepare_us", "session.plan_us", "session.execute_us"],
     ),
     "server": (
         ROUTE_COUNTERS + [

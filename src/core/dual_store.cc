@@ -29,7 +29,6 @@ DualStore::DualStore(rdf::Dataset* dataset, const DualStoreConfig& config)
   pc.use_graph = config.use_graph;
   pc.use_views = config.use_views;
   pc.graph_throttle = config.graph_throttle;
-  pc.exec_pool = config.exec_pool;
   processor_ = std::make_unique<QueryProcessor>(
       &executor_, &graph_, &matcher_, views_.get(), &dataset->dict(), pc);
 }
@@ -50,7 +49,6 @@ DualStore::DualStore(rdf::Dataset* dataset, const DualStoreConfig& config,
   pc.use_graph = config.use_graph;
   pc.use_views = config.use_views;
   pc.graph_throttle = config.graph_throttle;
-  pc.exec_pool = config.exec_pool;
   processor_ = std::make_unique<QueryProcessor>(
       &executor_, &graph_, &matcher_, views_.get(), &dataset->dict(), pc);
 }
@@ -222,8 +220,12 @@ Status DualStore::EvictPartition(TermId predicate, CostMeter* meter) {
 Result<double> DualStore::GraphQueryCost(const Query& qc,
                                          CostMeter* meter) const {
   CostMeter local(&CostModel::Default(), config_.graph_throttle);
-  DSKG_ASSIGN_OR_RETURN(sparql::BindingTable ignored,
-                        matcher_.Match(qc, &local));
+  DSKG_ASSIGN_OR_RETURN(graphstore::TraversalMatcher::Plan plan,
+                        matcher_.Compile(qc));
+  DSKG_ASSIGN_OR_RETURN(
+      sparql::BindingTable ignored,
+      matcher_.MatchSharded(plan, nullptr, &local, /*pool=*/nullptr,
+                            /*max_shards=*/0));
   (void)ignored;
   meter->Merge(local);
   return local.sim_micros();
@@ -233,7 +235,9 @@ Result<double> DualStore::RelationalQueryCostWithCutoff(
     const Query& qc, double budget_micros, CostMeter* meter) const {
   CostMeter local;
   local.set_budget_micros(budget_micros);
-  Result<sparql::BindingTable> r = executor_.Execute(qc, &local);
+  Result<sparql::BindingTable> r =
+      executor_.ExecuteCompiled(executor_.Compile(qc), nullptr, nullptr,
+                                &local);
   meter->Merge(local);
   if (!r.ok()) {
     if (r.status().IsCancelled()) return budget_micros;  // λ·c1 cutoff hit
@@ -248,7 +252,6 @@ void DualStore::SetGraphThrottle(ResourceThrottle t) {
 }
 
 void DualStore::SetExecutionPool(ThreadPool* pool) {
-  config_.exec_pool = pool;
   processor_->set_exec_pool(pool);
 }
 

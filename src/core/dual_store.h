@@ -67,9 +67,6 @@ struct DualStoreConfig {
   /// index permutations in parallel (borrowed; null = serial). Loaded
   /// state and charges are bit-identical either way.
   ThreadPool* load_pool = nullptr;
-  /// Pool handed to the query processor for sharded graph traversal
-  /// (borrowed; null = serial); `SetExecutionPool` can change it later.
-  ThreadPool* exec_pool = nullptr;
 };
 
 /// The dual-store structure (relational + graph) for one knowledge graph.

@@ -137,14 +137,14 @@ Result<BindingTable> QueryProcessor::MatchAll(
   out.columns = plan.out_vars;
   if (plan.impossible && plan.param_names.empty()) return out;
   const std::vector<TermId> local = MapParams(map, param_values);
-  // MatchSharded splits the root candidate range across the pool when one
-  // is configured and falls back to the serial drain otherwise; rows and
-  // charges are bit-identical either way.
+  // MatchSharded splits the root candidate range across the pool (one
+  // shard per worker) when one is configured and falls back to the serial
+  // drain otherwise; rows and charges are bit-identical either way.
   DSKG_ASSIGN_OR_RETURN(
       out, matcher_->MatchSharded(plan,
                                   local.empty() ? nullptr : local.data(),
                                   meter, config_.exec_pool,
-                                  config_.max_traversal_shards));
+                                  /*max_shards=*/0));
   if (telem) {
     // Wall vs. simulated pair for the same traversal: how the real clock
     // tracks the cost model's TTI charge.
@@ -245,108 +245,6 @@ Result<PreparedPlan> QueryProcessor::Prepare(const Query& query) const {
   return plan;
 }
 
-Result<QueryExecution> QueryProcessor::ExecutePlan(
-    const PreparedPlan& plan, const TermId* param_values) const {
-  auto& reg = telemetry::MetricsRegistry::Global();
-  const bool telem = reg.enabled();
-  const double start_us = telem ? reg.NowMicros() : 0;
-  QueryExecution exec;
-  exec.split = BindSplit(plan, param_values);
-
-  CostMeter rel_meter;
-  CostMeter graph_meter(&CostModel::Default(), config_.graph_throttle);
-  CostMeter migrate_meter;
-
-  auto finish = [&](BindingTable result, Route route) -> QueryExecution {
-    exec.result = std::move(result);
-    exec.route = route;
-    exec.rel_micros = rel_meter.sim_micros();
-    exec.graph_micros = graph_meter.sim_micros();
-    exec.migrate_micros = migrate_meter.sim_micros();
-    exec.graph_io_micros = graph_meter.io_micros();
-    exec.graph_cpu_micros = graph_meter.cpu_micros();
-    const int ri = static_cast<int>(route);
-    Qm().route_count[ri]->Add();
-    if (telem) {
-      const double wall = reg.NowMicros() - start_us;
-      Qm().wall_us[ri]->Record(wall);
-      Qm().sim_us[ri]->Record(exec.total_micros());
-      if (reg.traces().enabled()) {
-        reg.traces().Record("query.execute", start_us, wall);
-      }
-    }
-    return exec;
-  };
-
-  // Relational executions wrapped with their wall/simulated pair.
-  auto run_rel = [&](const Executor::CompiledQuery& cq,
-                     const std::vector<TermId>& local,
-                     BindingTable* seed) -> Result<BindingTable> {
-    const double wall0 = telem ? reg.NowMicros() : 0;
-    const double sim0 = telem ? rel_meter.sim_micros() : 0;
-    Result<BindingTable> res = executor_->ExecuteCompiled(
-        cq, local.empty() ? nullptr : local.data(), seed, &rel_meter);
-    if (telem && res.ok()) {
-      Qm().rel_exec_wall_us->Record(reg.NowMicros() - wall0);
-      Qm().rel_exec_sim_us->Record(rel_meter.sim_micros() - sim0);
-    }
-    return res;
-  };
-
-  if (plan.route == Route::kGraphOnly) {
-    DSKG_ASSIGN_OR_RETURN(BindingTable result,
-                          MatchAll(plan.graph_whole,
-                                   plan.graph_whole_param_map, param_values,
-                                   &graph_meter));
-    return finish(std::move(result), Route::kGraphOnly);
-  }
-
-  if (plan.route == Route::kDualStore) {
-    DSKG_ASSIGN_OR_RETURN(BindingTable inter,
-                          MatchAll(plan.graph_complex,
-                                   plan.graph_complex_param_map,
-                                   param_values, &graph_meter));
-    // Migrate the intermediate results into the temporary table space.
-    // The matcher's columnar table is handed to the executor as-is —
-    // the seed adoption is one flat-buffer copy, no per-row re-keying.
-    migrate_meter.Add(Op::kMigrateResultRow, inter.NumRows());
-    migrate_meter.Add(Op::kTempTableTuple, inter.NumRows());
-    if (!plan.has_remainder) {
-      // Defensive: with an empty remainder, Case 1 should have fired.
-      return finish(std::move(inter), Route::kDualStore);
-    }
-    const std::vector<TermId> local =
-        MapParams(plan.remainder_param_map, param_values);
-    DSKG_ASSIGN_OR_RETURN(BindingTable result,
-                          run_rel(plan.remainder, local, &inter));
-    return finish(std::move(result), Route::kDualStore);
-  }
-
-  if (plan.try_view) {
-    const Query& bound_qc = *exec.split.complex;
-    std::optional<relstore::MaterializedViewManager::Answer> ans =
-        views_->TryAnswer(bound_qc.patterns, &rel_meter);
-    if (ans.has_value()) {
-      if (!plan.has_remainder) {
-        return finish(ans->bindings.Project(plan.out_vars),
-                      Route::kViewAssisted);
-      }
-      const std::vector<TermId> local =
-          MapParams(plan.remainder_param_map, param_values);
-      DSKG_ASSIGN_OR_RETURN(BindingTable result,
-                            run_rel(plan.remainder, local, &ans->bindings));
-      return finish(std::move(result), Route::kViewAssisted);
-    }
-  }
-
-  // ---- Case 3: relational store ------------------------------------------
-  const std::vector<TermId> local = MapParams(plan.rel_param_map,
-                                              param_values);
-  DSKG_ASSIGN_OR_RETURN(BindingTable result,
-                        run_rel(plan.rel, local, nullptr));
-  return finish(std::move(result), Route::kRelationalOnly);
-}
-
 Result<QueryExecution> QueryProcessor::Process(const Query& query) const {
   DSKG_ASSIGN_OR_RETURN(PreparedPlan plan, Prepare(query));
   if (!plan.params.empty()) {
@@ -356,7 +254,7 @@ Result<QueryExecution> QueryProcessor::Process(const Query& query) const {
   return ExecutePlan(plan, nullptr);
 }
 
-// ---- streaming --------------------------------------------------------------
+// ---- execution: one open step, cursors drain it -----------------------------
 
 /// Cursor internals. Meters live here so the engine cursors can hold
 /// stable pointers to them while the public object moves around.
@@ -367,18 +265,131 @@ struct ExecutionCursor::Body {
   CostMeter graph_meter;
   CostMeter migrate_meter;
 
-  /// Graph-only route: the resumable traversal streams rows directly.
+  /// Streamed graph-only route: the resumable traversal emits rows
+  /// directly.
   std::optional<TraversalMatcher::Cursor> graph_cursor;
-  bool graph_impossible = false;
 
-  /// Every other route: the final (unprojected) join intermediate plus
-  /// the projection column map; chunks are projected on demand.
+  /// Every other case: the final (unprojected) table plus the projection
+  /// column map; chunks are projected on demand.
   BindingTable joined;
   std::vector<int> out_cols;
+  /// `out_cols` selects every column of `joined`, in order: a pull that
+  /// takes the whole result can take the table itself.
+  bool identity = false;
   size_t next_row = 0;
 
   std::vector<std::string> columns;
   bool done = false;
+
+  /// Telemetry state: the registry's switch at open, the open's start,
+  /// and the wall time spent inside the open step and every pull so far.
+  bool telem = false;
+  double start_us = 0;
+  double wall_us = 0;
+
+  /// Adopts a fully joined (unprojected) table: resolves the projection
+  /// columns once; chunks copy through them. A missing column is legal
+  /// only when no rows exist (the header is then still the full
+  /// projection), unless `drop_missing` asks for `Project()` semantics.
+  Status Adopt(BindingTable table, const std::vector<std::string>& vars,
+               bool drop_missing) {
+    for (const std::string& v : vars) {
+      const int c = table.ColumnIndex(v);
+      if (c >= 0) {
+        out_cols.push_back(c);
+        columns.push_back(v);
+      } else if (!drop_missing) {
+        if (!table.empty()) {
+          return Status::Internal("projection lost columns unexpectedly");
+        }
+        columns = vars;
+        out_cols.clear();
+        return Status::OK();
+      }
+    }
+    identity = out_cols.size() == table.NumColumns();
+    for (size_t i = 0; identity && i < out_cols.size(); ++i) {
+      identity = out_cols[i] == static_cast<int>(i);
+    }
+    joined = std::move(table);
+    return Status::OK();
+  }
+
+  /// Replaces `*chunk` with the next `max_rows` (or fewer) rows and
+  /// updates `done`.
+  Status Pull(BindingTable* chunk, size_t max_rows) {
+    chunk->columns = columns;
+    chunk->ClearRows();
+    if (graph_cursor.has_value()) {
+      return graph_cursor->Fill(chunk, max_rows, &done);
+    }
+    const size_t total = joined.NumRows();
+    const size_t n = std::min(max_rows, total - next_row);
+    if (identity && n == total) {
+      *chunk = std::move(joined);  // the whole result: hand it over
+    } else {
+      const size_t stride = out_cols.size();
+      chunk->ReserveRows(n);
+      for (size_t r = next_row; r < next_row + n; ++r) {
+        const TermId* row = joined.RowData(r);
+        TermId* out_row = chunk->AppendRow();
+        for (size_t c = 0; c < stride; ++c) out_row[c] = row[out_cols[c]];
+      }
+    }
+    next_row += n;
+    done = next_row == total;
+    return Status::OK();
+  }
+
+  /// Route and cost breakdown accrued so far.
+  void Charges(QueryExecution* exec) const {
+    exec->route = route;
+    exec->rel_micros = rel_meter.sim_micros();
+    exec->graph_micros = graph_meter.sim_micros();
+    exec->migrate_micros = migrate_meter.sim_micros();
+    exec->graph_io_micros = graph_meter.io_micros();
+    exec->graph_cpu_micros = graph_meter.cpu_micros();
+  }
+
+  /// `ExecutionCursor::Next` on a live body: pulls the next chunk, adds
+  /// the pull's wall time, and records the query's telemetry when the
+  /// last row goes out.
+  Status Next(BindingTable* chunk, size_t max_rows, bool* out_done) {
+    if (done) {
+      chunk->columns = columns;
+      chunk->ClearRows();
+      *out_done = true;
+      return Status::OK();
+    }
+    auto& reg = telemetry::MetricsRegistry::Global();
+    const double pull_start_us = telem ? reg.NowMicros() : 0;
+    DSKG_RETURN_NOT_OK(Pull(chunk, max_rows));
+    if (telem) wall_us += reg.NowMicros() - pull_start_us;
+    if (done) Finish();
+    *out_done = done;
+    return Status::OK();
+  }
+
+  /// Records the finished query's telemetry, once, from the last pull.
+  void Finish() {
+    const int ri = static_cast<int>(route);
+    Qm().route_count[ri]->Add();
+    if (!telem) return;
+    QueryExecution totals;
+    Charges(&totals);
+    Qm().wall_us[ri]->Record(wall_us);
+    Qm().sim_us[ri]->Record(totals.total_micros());
+    if (graph_cursor.has_value()) {
+      // A streamed traversal ran inside the pulls: its engine time is the
+      // cursor's.
+      Qm().graph_match_wall_us->Record(wall_us);
+      Qm().graph_match_sim_us->Record(totals.graph_micros);
+    }
+    auto& reg = telemetry::MetricsRegistry::Global();
+    if (reg.traces().enabled()) {
+      reg.traces().Record("query.execute", start_us, wall_us);
+    }
+  }
 };
 
 ExecutionCursor::ExecutionCursor() = default;
@@ -401,13 +412,8 @@ Route ExecutionCursor::route() const {
 QueryExecution ExecutionCursor::Execution() const {
   QueryExecution exec;
   if (body_ == nullptr) return exec;
-  exec.route = body_->route;
   exec.split = body_->split;
-  exec.rel_micros = body_->rel_meter.sim_micros();
-  exec.graph_micros = body_->graph_meter.sim_micros();
-  exec.migrate_micros = body_->migrate_meter.sim_micros();
-  exec.graph_io_micros = body_->graph_meter.io_micros();
-  exec.graph_cpu_micros = body_->graph_meter.cpu_micros();
+  body_->Charges(&exec);
   return exec;
 }
 
@@ -417,31 +423,103 @@ Status ExecutionCursor::Next(sparql::BindingTable* chunk, size_t max_rows,
     return Status::FailedPrecondition(
         "cursor is empty (default-constructed or moved from)");
   }
-  Body& b = *body_;
-  chunk->columns = b.columns;
-  chunk->ClearRows();
-  if (b.done) {
-    *done = true;
-    return Status::OK();
-  }
-  if (b.graph_cursor.has_value()) {
-    DSKG_RETURN_NOT_OK(b.graph_cursor->Fill(chunk, max_rows, &b.done));
-    *done = b.done;
-    return Status::OK();
-  }
-  const size_t stride = b.out_cols.size();
-  const size_t end = std::min(b.joined.NumRows(), b.next_row + max_rows);
-  chunk->ReserveRows(end - b.next_row);
-  for (size_t r = b.next_row; r < end; ++r) {
-    const TermId* row = b.joined.RowData(r);
-    TermId* out_row = chunk->AppendRow();
-    for (size_t c = 0; c < stride; ++c) {
-      out_row[c] = row[b.out_cols[c]];
+  return body_->Next(chunk, max_rows, done);
+}
+
+Status QueryProcessor::Open(const PreparedPlan& plan,
+                            const TermId* param_values, bool stream,
+                            ExecutionCursor::Body* body) const {
+  auto& reg = telemetry::MetricsRegistry::Global();
+  ExecutionCursor::Body& b = *body;
+  b.telem = reg.enabled();
+  b.start_us = b.telem ? reg.NowMicros() : 0;
+  b.split = BindSplit(plan, param_values);
+  b.graph_meter = CostMeter(&CostModel::Default(), config_.graph_throttle);
+
+  // Runs one relational artifact (from `seed` when given) and adopts its
+  // last join intermediate, recording the engine's wall/simulated pair.
+  auto run_rel = [&](const Executor::CompiledQuery& cq,
+                     const std::vector<size_t>& map,
+                     const BindingTable* seed) -> Status {
+    const std::vector<TermId> local = MapParams(map, param_values);
+    const double wall0 = b.telem ? reg.NowMicros() : 0;
+    const double sim0 = b.telem ? b.rel_meter.sim_micros() : 0;
+    DSKG_ASSIGN_OR_RETURN(
+        BindingTable joined,
+        executor_->ExecuteCompiledJoined(
+            cq, local.empty() ? nullptr : local.data(), seed, &b.rel_meter));
+    if (b.telem) {
+      Qm().rel_exec_wall_us->Record(reg.NowMicros() - wall0);
+      Qm().rel_exec_sim_us->Record(b.rel_meter.sim_micros() - sim0);
+    }
+    return b.Adopt(std::move(joined), cq.out_vars, /*drop_missing=*/false);
+  };
+
+  if (plan.route == Route::kGraphOnly) {
+    // ---- Case 1: graph store ---------------------------------------------
+    b.route = Route::kGraphOnly;
+    if (stream) {
+      b.columns = plan.graph_whole.out_vars;
+      const std::vector<TermId> local =
+          MapParams(plan.graph_whole_param_map, param_values);
+      DSKG_ASSIGN_OR_RETURN(
+          TraversalMatcher::Cursor gc,
+          matcher_->OpenCursor(plan.graph_whole,
+                               local.empty() ? nullptr : local.data(),
+                               &b.graph_meter));
+      b.graph_cursor = std::move(gc);
+    } else {
+      DSKG_ASSIGN_OR_RETURN(BindingTable rows,
+                            MatchAll(plan.graph_whole,
+                                     plan.graph_whole_param_map,
+                                     param_values, &b.graph_meter));
+      DSKG_RETURN_NOT_OK(b.Adopt(std::move(rows), plan.graph_whole.out_vars,
+                                 /*drop_missing=*/false));
+    }
+  } else if (plan.route == Route::kDualStore) {
+    // ---- Case 2: q_c in the graph store, the remainder relational ---------
+    b.route = Route::kDualStore;
+    DSKG_ASSIGN_OR_RETURN(BindingTable inter,
+                          MatchAll(plan.graph_complex,
+                                   plan.graph_complex_param_map,
+                                   param_values, &b.graph_meter));
+    // Migrate the intermediate results into the temporary table space.
+    // The matcher's columnar table is handed to the executor as-is —
+    // the seed adoption is one flat-buffer copy, no per-row re-keying.
+    b.migrate_meter.Add(Op::kMigrateResultRow, inter.NumRows());
+    b.migrate_meter.Add(Op::kTempTableTuple, inter.NumRows());
+    if (plan.has_remainder) {
+      DSKG_RETURN_NOT_OK(
+          run_rel(plan.remainder, plan.remainder_param_map, &inter));
+    } else {
+      // Defensive (Case 1 should have fired): the intermediate is the
+      // result, already projected.
+      const std::vector<std::string> vars = inter.columns;
+      DSKG_RETURN_NOT_OK(
+          b.Adopt(std::move(inter), vars, /*drop_missing=*/false));
+    }
+  } else {
+    // ---- RDB-views probe, then Case 3: relational store ------------------
+    std::optional<relstore::MaterializedViewManager::Answer> ans;
+    if (plan.try_view) {
+      ans = views_->TryAnswer(b.split.complex->patterns, &b.rel_meter);
+    }
+    if (!ans.has_value()) {
+      b.route = Route::kRelationalOnly;
+      DSKG_RETURN_NOT_OK(run_rel(plan.rel, plan.rel_param_map, nullptr));
+    } else if (plan.has_remainder) {
+      b.route = Route::kViewAssisted;
+      DSKG_RETURN_NOT_OK(
+          run_rel(plan.remainder, plan.remainder_param_map, &ans->bindings));
+    } else {
+      b.route = Route::kViewAssisted;
+      // Project() semantics: silently drop projected variables the view
+      // cannot bind.
+      DSKG_RETURN_NOT_OK(b.Adopt(std::move(ans->bindings), plan.out_vars,
+                                 /*drop_missing=*/true));
     }
   }
-  b.next_row = end;
-  if (b.next_row >= b.joined.NumRows()) b.done = true;
-  *done = b.done;
+  if (b.telem) b.wall_us = reg.NowMicros() - b.start_us;
   return Status::OK();
 }
 
@@ -449,116 +527,23 @@ Result<ExecutionCursor> QueryProcessor::OpenCursor(
     const PreparedPlan& plan, const TermId* param_values) const {
   ExecutionCursor cursor;
   cursor.body_ = std::make_unique<ExecutionCursor::Body>();
-  ExecutionCursor::Body& b = *cursor.body_;
-  b.split = BindSplit(plan, param_values);
-  b.graph_meter = CostMeter(&CostModel::Default(), config_.graph_throttle);
-
-  // Adopts a fully joined (unprojected) table: resolve the projection
-  // columns once; chunks copy through them. Missing columns are legal
-  // only when no rows exist (then the header is still the full
-  // projection, as the materialized path normalizes it).
-  auto adopt_joined = [&](BindingTable joined,
-                          const std::vector<std::string>& vars,
-                          bool drop_missing) -> Status {
-    b.out_cols.clear();
-    b.columns.clear();
-    for (const std::string& v : vars) {
-      const int c = joined.ColumnIndex(v);
-      if (c >= 0) {
-        b.out_cols.push_back(c);
-        b.columns.push_back(v);
-      } else if (!drop_missing) {
-        if (!joined.empty()) {
-          return Status::Internal("projection lost columns unexpectedly");
-        }
-        b.columns = vars;
-        b.out_cols.clear();
-        b.joined = BindingTable{};
-        return Status::OK();
-      }
-    }
-    b.joined = std::move(joined);
-    return Status::OK();
-  };
-
-  if (plan.route == Route::kGraphOnly) {
-    b.route = Route::kGraphOnly;
-    b.columns = plan.graph_whole.out_vars;
-    const std::vector<TermId> local =
-        MapParams(plan.graph_whole_param_map, param_values);
-    DSKG_ASSIGN_OR_RETURN(
-        TraversalMatcher::Cursor gc,
-        matcher_->OpenCursor(plan.graph_whole,
-                             local.empty() ? nullptr : local.data(),
-                             &b.graph_meter));
-    b.graph_cursor = std::move(gc);
-    return cursor;
-  }
-
-  if (plan.route == Route::kDualStore) {
-    b.route = Route::kDualStore;
-    DSKG_ASSIGN_OR_RETURN(BindingTable inter,
-                          MatchAll(plan.graph_complex,
-                                   plan.graph_complex_param_map,
-                                   param_values, &b.graph_meter));
-    b.migrate_meter.Add(Op::kMigrateResultRow, inter.NumRows());
-    b.migrate_meter.Add(Op::kTempTableTuple, inter.NumRows());
-    if (!plan.has_remainder) {
-      // Defensive: the intermediate *is* the result, already projected.
-      std::vector<std::string> vars = inter.columns;
-      DSKG_RETURN_NOT_OK(adopt_joined(std::move(inter), vars, false));
-      return cursor;
-    }
-    const std::vector<TermId> local =
-        MapParams(plan.remainder_param_map, param_values);
-    DSKG_ASSIGN_OR_RETURN(
-        BindingTable joined,
-        executor_->ExecuteCompiledJoined(
-            plan.remainder, local.empty() ? nullptr : local.data(), &inter,
-            &b.rel_meter));
-    DSKG_RETURN_NOT_OK(
-        adopt_joined(std::move(joined), plan.remainder.out_vars, false));
-    return cursor;
-  }
-
-  if (plan.try_view) {
-    const Query& bound_qc = *b.split.complex;
-    std::optional<relstore::MaterializedViewManager::Answer> ans =
-        views_->TryAnswer(bound_qc.patterns, &b.rel_meter);
-    if (ans.has_value()) {
-      b.route = Route::kViewAssisted;
-      if (!plan.has_remainder) {
-        // Project() semantics: silently drop projected variables the view
-        // cannot bind (the materialized path does the same).
-        DSKG_RETURN_NOT_OK(
-            adopt_joined(std::move(ans->bindings), plan.out_vars, true));
-        return cursor;
-      }
-      const std::vector<TermId> local =
-          MapParams(plan.remainder_param_map, param_values);
-      DSKG_ASSIGN_OR_RETURN(
-          BindingTable joined,
-          executor_->ExecuteCompiledJoined(
-              plan.remainder, local.empty() ? nullptr : local.data(),
-              &ans->bindings, &b.rel_meter));
-      DSKG_RETURN_NOT_OK(
-          adopt_joined(std::move(joined), plan.remainder.out_vars, false));
-      return cursor;
-    }
-  }
-
-  // ---- Case 3: relational store ------------------------------------------
-  b.route = Route::kRelationalOnly;
-  const std::vector<TermId> local = MapParams(plan.rel_param_map,
-                                              param_values);
-  DSKG_ASSIGN_OR_RETURN(
-      BindingTable joined,
-      executor_->ExecuteCompiledJoined(plan.rel,
-                                       local.empty() ? nullptr : local.data(),
-                                       nullptr, &b.rel_meter));
-  DSKG_RETURN_NOT_OK(adopt_joined(std::move(joined), plan.rel.out_vars,
-                                  false));
+  DSKG_RETURN_NOT_OK(
+      Open(plan, param_values, /*stream=*/true, cursor.body_.get()));
   return cursor;
+}
+
+Result<QueryExecution> QueryProcessor::ExecutePlan(
+    const PreparedPlan& plan, const TermId* param_values) const {
+  // The same body a cursor owns, kept on the stack: one drain empties it.
+  ExecutionCursor::Body b;
+  DSKG_RETURN_NOT_OK(Open(plan, param_values, /*stream=*/false, &b));
+  QueryExecution exec;
+  bool done = false;
+  DSKG_RETURN_NOT_OK(
+      b.Next(&exec.result, std::numeric_limits<size_t>::max(), &done));
+  exec.split = std::move(b.split);
+  b.Charges(&exec);
+  return exec;
 }
 
 }  // namespace dskg::core

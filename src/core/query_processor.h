@@ -27,6 +27,14 @@
 /// classic one-shot composition of the two and behaves (and charges)
 /// exactly as before the split.
 ///
+/// Execution has one path: a single open step runs the route dispatch
+/// once and leaves the result behind an `ExecutionCursor`; `ExecutePlan`
+/// is that open step plus one drain to the end. The cursor records the
+/// per-query telemetry (`query.route.*`, `query.wall_us.*`,
+/// `query.sim_us.*`) when it delivers its last row, so materialized
+/// executions, `Session` cursors and server cursors are all counted the
+/// same way.
+///
 /// A plan is valid only against the physical state it was prepared for
 /// (graph residency, view catalog, dictionary contents); `DualStore::
 /// plan_epoch()` versions that state and `Session` re-prepares stale
@@ -142,6 +150,13 @@ struct PreparedPlan {
 /// projected result is emitted chunk by chunk, and a pure graph-store
 /// route streams straight out of the resumable traversal with no
 /// materialization at all.
+///
+/// The pull that delivers the last row records the query's telemetry:
+/// one `query.route.<route>` count, one `query.sim_us.<route>` sample
+/// (the drained `total_micros()`), and one `query.wall_us.<route>` sample
+/// summing the wall time spent inside the open step and every `Next`
+/// (time between pulls is the caller's, not the query's). A cursor
+/// dropped before its last row records none of them.
 class ExecutionCursor {
  public:
   ExecutionCursor();
@@ -168,7 +183,7 @@ class ExecutionCursor {
 
  private:
   friend class QueryProcessor;
-  struct Body;
+  struct Body;  // defined in query_processor.cc
   std::unique_ptr<Body> body_;
 };
 
@@ -182,12 +197,10 @@ class QueryProcessor {
     bool use_views = false;
     /// Contention applied to graph-store execution (Table 6 / Figure 7).
     ResourceThrottle graph_throttle;
-    /// Pool for sharded graph traversal (borrowed, not owned; null =
-    /// serial). Sharded and serial traversal produce bit-identical rows
-    /// and charges, so this is purely a wall-clock knob.
+    /// Pool for sharded graph traversal, one shard per worker (borrowed,
+    /// not owned; null = serial). Sharded and serial traversal produce
+    /// bit-identical rows and charges, so this is purely a wall-clock knob.
     ThreadPool* exec_pool = nullptr;
-    /// Max traversal shards per query (<= 0: the pool's size).
-    int max_traversal_shards = 0;
   };
 
   /// All pointers are borrowed and must outlive the processor. `views`
@@ -205,10 +218,10 @@ class QueryProcessor {
   Result<PreparedPlan> Prepare(const sparql::Query& query) const;
 
   /// Executes a prepared plan with `param_values` bound (one id per entry
-  /// of `plan.params`; null allowed when the plan has none). Results and
-  /// simulated charges are identical to `Process` on the equivalent bound
-  /// query. An unbound or invalid parameter fails with
-  /// FailedPrecondition.
+  /// of `plan.params`; null allowed when the plan has none): the open
+  /// step plus one drain to the end. Results and simulated charges are
+  /// identical to `Process` on the equivalent bound query. An unbound or
+  /// invalid parameter fails with FailedPrecondition.
   Result<QueryExecution> ExecutePlan(const PreparedPlan& plan,
                                      const rdf::TermId* param_values) const;
 
@@ -235,8 +248,16 @@ class QueryProcessor {
   IdentifiedQuery BindSplit(const PreparedPlan& plan,
                             const rdf::TermId* param_values) const;
 
-  /// Drains one compiled traversal into a table (shared by the
-  /// materialized and streaming paths so they can never diverge).
+  /// The open step, and the only route dispatch: runs everything the
+  /// route needs before the first row into `body`, which then serves the
+  /// result chunk by chunk. With `stream` the graph-only route opens a
+  /// resumable traversal; without it (the caller drains everything) it
+  /// drains through `MatchAll`, which shards the traversal over the pool.
+  Status Open(const PreparedPlan& plan, const rdf::TermId* param_values,
+              bool stream, ExecutionCursor::Body* body) const;
+
+  /// Drains one compiled traversal into a table, sharded over
+  /// `config_.exec_pool` when one is set.
   Result<sparql::BindingTable> MatchAll(
       const graphstore::TraversalMatcher::Plan& plan,
       const std::vector<size_t>& map, const rdf::TermId* param_values,

@@ -15,6 +15,7 @@ namespace {
 // registry (the lookup takes a lock; the pointers are stable).
 struct SessionHists {
   telemetry::Histogram* prepare_us;
+  telemetry::Histogram* plan_us;
   telemetry::Histogram* bind_us;
   telemetry::Histogram* execute_us;
   telemetry::Histogram* cursor_next_us;
@@ -24,6 +25,7 @@ const SessionHists& Hists() {
   static const SessionHists h = [] {
     auto& reg = telemetry::MetricsRegistry::Global();
     return SessionHists{reg.histogram("session.prepare_us"),
+                        reg.histogram("session.plan_us"),
                         reg.histogram("session.bind_us"),
                         reg.histogram("session.execute_us"),
                         reg.histogram("session.cursor_next_us")};
@@ -262,6 +264,9 @@ Result<std::shared_ptr<const PreparedPlan>> Session::PlanFor(
     }
     replanned = entry->plan != nullptr;
   }
+  // Planning proper, on first use of the text or after the epoch moved
+  // (`Session::Prepare` only parses).
+  telemetry::TraceScope span(Hists().plan_us, "session.plan");
   std::shared_ptr<const PreparedPlan> shared;
   if (shared_cache_ != nullptr) {
     // Cross-session path: N sessions sharing the cache compile this

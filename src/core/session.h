@@ -281,7 +281,8 @@ class Session {
   /// Pins the current snapshot (wait-free over an OnlineStore).
   session_internal::Snapshot Pin() const;
 
-  /// The entry's plan, re-prepared iff its epoch differs from `store`'s.
+  /// The entry's plan, re-prepared iff its epoch differs from `store`'s;
+  /// every fetch of a fresh plan is timed into `session.plan_us`.
   Result<std::shared_ptr<const PreparedPlan>> PlanFor(
       session_internal::CacheEntry* entry, const DualStore& store);
 

@@ -185,16 +185,6 @@ Result<TraversalMatcher::Cursor> TraversalMatcher::OpenCursor(
   return c;
 }
 
-Result<BindingTable> TraversalMatcher::Match(const sparql::Query& query,
-                                             CostMeter* meter) const {
-  DSKG_ASSIGN_OR_RETURN(Plan plan, Compile(query));
-  if (!plan.param_names.empty()) {
-    return Status::FailedPrecondition(
-        "query has unbound parameters; prepare and bind it instead");
-  }
-  return DrainSerial(plan, nullptr, meter);
-}
-
 Result<BindingTable> TraversalMatcher::DrainSerial(
     const Plan& plan, const TermId* param_values, CostMeter* meter) const {
   DSKG_ASSIGN_OR_RETURN(Cursor cursor, OpenCursor(plan, param_values, meter));

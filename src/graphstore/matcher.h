@@ -22,8 +22,8 @@
 /// sites) once; `OpenCursor` runs it as a *resumable* DFS that emits
 /// result rows in pull-sized chunks — the traversal suspends mid-search
 /// with its explicit stack intact, so a caller consuming a few rows never
-/// pays for (or stores) the rest. `Match` composes the two into the
-/// classic materialize-everything call.
+/// pays for (or stores) the rest. `MatchSharded` drains a plan to the
+/// end, splitting the root step across a thread pool when given one.
 ///
 /// The matcher can only answer queries whose constant predicates are all
 /// resident in the graph store; the dual-store query processor is
@@ -109,8 +109,8 @@ class TraversalMatcher {
     /// to `*out` (whose columns must already be the plan's `out_vars`) or
     /// the search space is exhausted (`*done` = true). Cost is charged to
     /// the meter as the search advances, so a drained cursor has charged
-    /// exactly what `Match` charges. Returns Cancelled when the meter's
-    /// budget runs out; errors are sticky.
+    /// exactly what `MatchSharded` charges. Returns Cancelled when the
+    /// meter's budget runs out; errors are sticky.
     Status Fill(sparql::BindingTable* out, size_t max_rows, bool* done);
 
     const std::vector<std::string>& out_vars() const { return out_vars_; }
@@ -163,15 +163,9 @@ class TraversalMatcher {
                             const rdf::TermId* param_values,
                             CostMeter* meter) const;
 
-  /// Evaluates `query` and returns its projected bindings — `Compile` +
-  /// a fully drained cursor. Fails with FailedPrecondition if the query
-  /// contains `$parameters` (prepare and bind it instead).
-  /// Returns Cancelled if the meter's budget is exhausted.
-  Result<sparql::BindingTable> Match(const sparql::Query& query,
-                                     CostMeter* meter) const;
-
   /// Drains `plan` with the first pattern's candidate range split into up
-  /// to `max_shards` contiguous shards run on `pool`. Each shard gets a
+  /// to `max_shards` contiguous shards run on `pool` (`max_shards` <= 0:
+  /// one per pool worker). Each shard gets a
   /// clone of the DFS cursor whose root frame covers only its candidate
   /// sub-range plus its own `CostMeter`; shard tables and meters are
   /// merged in ascending range order, so rows arrive in exactly the
@@ -183,7 +177,9 @@ class TraversalMatcher {
   ///
   /// Falls back to the serial drain when `pool` is null, the range is too
   /// small to split, or the meter carries a budget (budgeted traversal
-  /// cancels cooperatively mid-search — a serial protocol).
+  /// cancels cooperatively mid-search — a serial protocol). Unbound
+  /// parameters fail with FailedPrecondition; an exhausted budget with
+  /// Cancelled.
   Result<sparql::BindingTable> MatchSharded(const Plan& plan,
                                             const rdf::TermId* param_values,
                                             CostMeter* meter,

@@ -43,7 +43,7 @@
 /// pool growth, same free-list order, same bytes.
 ///
 /// Read entry points come in root-parameterized form (`ContainsAt`,
-/// `LowerBoundAt`, `BeginAt`, `ShardStartsAt`) used by snapshot readers,
+/// `LowerBoundAt`, `BeginAt`) used by snapshot readers,
 /// with the classic forms reading the live root.
 ///
 /// Split heuristic: a leaf split normally divides keys evenly, but when
@@ -250,7 +250,7 @@ class BPlusTree {
   /// from an adjacent sibling when that sibling can spare it and merges
   /// with the sibling otherwise, keeping deletion-touched nodes at least
   /// half full — the occupancy bound the cost model's `kIndexProbe` depth
-  /// and `ShardStarts`'s leaf-granular sharding both assume. Nodes
+  /// assumes. Nodes
   /// emptied by merges return to their pool's free list (offline) or park
   /// on the pending-reclaim list (copy-on-write).
   bool Erase(const Key& key) {
@@ -384,46 +384,6 @@ class BPlusTree {
   /// Iterator over the whole snapshot under `root`.
   Iterator BeginAt(NodeId root) const {
     return Iterator(this, root, nullptr);
-  }
-
-  /// Splits the key range [first key >= `lo`, first key failing `within`)
-  /// into at most `max_shards` contiguous subranges aligned to leaf
-  /// boundaries and returns the first key of each subrange, ascending.
-  /// `within(key)` must be monotone: once false it stays false for all
-  /// larger keys (a range-end predicate such as a prefix match). Returns
-  /// an empty vector when no key of the tree is in range. Shard i covers
-  /// [result[i], result[i+1]) — the last shard is bounded by `within`
-  /// alone. Cost: one leaf walk over the range (no key is visited twice;
-  /// O(#leaves in range)).
-  template <typename Pred>
-  std::vector<Key> ShardStarts(const Key& lo, int max_shards,
-                               Pred within) const {
-    return ShardStartsAt(root_, lo, max_shards, within);
-  }
-
-  template <typename Pred>
-  std::vector<Key> ShardStartsAt(NodeId root, const Key& lo, int max_shards,
-                                 Pred within) const {
-    // Collect the first in-range key of every leaf overlapping the range.
-    std::vector<Key> leaf_starts;
-    for (Iterator it(this, root, &lo); !it.AtEnd(); it.NextLeaf()) {
-      const Key& first = *it;
-      if (!within(first)) break;  // past the range end
-      leaf_starts.push_back(first);
-    }
-    if (leaf_starts.empty() || max_shards <= 1) {
-      if (!leaf_starts.empty()) return {leaf_starts.front()};
-      return {};
-    }
-    // Pick evenly spaced leaf starts as shard boundaries.
-    const size_t n = leaf_starts.size();
-    const size_t shards = std::min<size_t>(static_cast<size_t>(max_shards), n);
-    std::vector<Key> out;
-    out.reserve(shards);
-    for (size_t s = 0; s < shards; ++s) {
-      out.push_back(leaf_starts[s * n / shards]);
-    }
-    return out;
   }
 
   /// Number of keys stored.

@@ -4,8 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -111,7 +109,7 @@ uint64_t EstimateWithBoundVars(
 }
 
 /// Index of the pattern with the smallest estimated constant extent —
-/// the serial and sharded paths' common choice of initial pattern.
+/// the initial relation of an unseeded execution.
 size_t SmallestExtentPattern(
     const TripleTable& table,
     const std::vector<Executor::EncodedPattern>& patterns) {
@@ -125,26 +123,6 @@ size_t SmallestExtentPattern(
     }
   }
   return best;
-}
-
-/// Scan callback materializing each matching triple of `p` as a row of
-/// `cur` (one `kMaterializeTuple` each). `cur`'s columns are exactly
-/// `p.Vars()`, so the extracted distinct-var values are the row — one
-/// flat-buffer bump, no per-row vector, no name lookup. Shared by the
-/// serial initial scan and every shard worker, so their per-row charging
-/// is structural, not kept in sync by hand. Stops the scan once `meter`'s
-/// budget is exhausted (never the case for shard-local meters, which
-/// carry none).
-std::function<bool(const Triple&)> MaterializeInto(
-    const Executor::EncodedPattern& p, BindingTable* cur, CostMeter* meter) {
-  return [&p, cur, meter](const Triple& t) {
-    TermId vals[3];
-    if (!p.ExtractVarValues(t, vals)) return true;
-    meter->Add(Op::kMaterializeTuple);
-    TermId* row = cur->AppendRow();
-    for (size_t v = 0; v < p.NumVars(); ++v) row[v] = vals[v];
-    return !meter->ExceededBudget();
-  };
 }
 
 /// A packed hash-join key: up to 3 term ids (a pattern has at most three
@@ -182,33 +160,9 @@ struct JoinBuild {
     std::vector<TermId> new_vals;  // count * stride ids
   };
   std::unordered_map<JoinKey, Group, JoinKeyHash> groups;
-  size_t stride = 0;  // number of new (unbound) pattern variables
 };
 
 }  // namespace
-
-/// Per-query shared hash-join builds (see executor.h). Entries are keyed
-/// by pattern index in an ordered map so the caller can fold the build
-/// meters into the query meter in a deterministic order. (The build side
-/// depends only on the pattern and the plan-time bound-variable set,
-/// which the greedy join order makes identical across shards.)
-struct Executor::SharedJoinState {
-  struct Entry {
-    std::mutex mu;
-    bool built = false;
-    Status status;
-    JoinBuild build;
-    CostMeter build_meter;
-  };
-
-  Entry* EntryFor(size_t pattern_index) {
-    std::lock_guard<std::mutex> lock(mu);
-    return &entries[pattern_index];
-  }
-
-  std::mutex mu;
-  std::map<size_t, Entry> entries;
-};
 
 Executor::CompiledQuery Executor::Compile(const sparql::Query& query) const {
   CompiledQuery out;
@@ -270,110 +224,6 @@ Status PatchParams(const Executor::CompiledQuery& cq,
 
 }  // namespace
 
-Result<BindingTable> Executor::Execute(const sparql::Query& query,
-                                       CostMeter* meter) const {
-  return Run(query, nullptr, meter);
-}
-
-Result<BindingTable> Executor::ExecuteWithSeed(const sparql::Query& query,
-                                               const BindingTable& seed,
-                                               CostMeter* meter) const {
-  return Run(query, &seed, meter);
-}
-
-Result<BindingTable> Executor::ExecuteSharded(const sparql::Query& query,
-                                              CostMeter* meter,
-                                              ThreadPool* pool,
-                                              int max_shards) const {
-  if (query.patterns.empty()) {
-    return Status::InvalidArgument("query has no patterns");
-  }
-  if (pool == nullptr) return Run(query, nullptr, meter);
-  if (max_shards <= 0) max_shards = static_cast<int>(pool->size());
-  // Budgeted runs use cooperative cancellation, a serial protocol.
-  if (max_shards <= 1 || meter->budget_micros() > 0.0) {
-    return Run(query, nullptr, meter);
-  }
-
-  // ---- encode and plan (exactly as the serial path does) ----------------
-  CompiledQuery eq = Compile(query);
-  if (!eq.param_sites.empty()) {
-    return Status::FailedPrecondition(
-        "query has unbound parameters; prepare and bind it instead");
-  }
-  std::vector<EncodedPattern>& patterns = eq.patterns;
-  const std::vector<std::string>& out_vars = eq.out_vars;
-  if (eq.impossible) {
-    BindingTable empty;
-    empty.columns = out_vars;
-    return empty;
-  }
-  const size_t first = SmallestExtentPattern(*table_, patterns);
-  const std::vector<TripleTable::PatternShard> shards =
-      table_->ShardPattern(patterns[first].ConstantExtent(), max_shards);
-  if (shards.size() <= 1) {
-    // Nothing matches or the range fits one leaf run: serial is both
-    // correct and cheapest (no extra descents).
-    return Run(query, nullptr, meter);
-  }
-  patterns[first].used = true;
-
-  // ---- run every shard's scan + remaining joins concurrently ------------
-  struct ShardOutcome {
-    Status status;
-    BindingTable table;
-    CostMeter meter;
-  };
-  SharedJoinState shared_joins;  // hash builds: once per pattern, not per shard
-  std::vector<ShardOutcome> outcomes(shards.size());
-  pool->ParallelFor(shards.size(), [&](size_t i) {
-    ShardOutcome& out = outcomes[i];
-    out.meter = CostMeter(meter->model(), meter->throttle());
-    std::vector<EncodedPattern> local = patterns;  // own used-flags
-    const EncodedPattern& p = local[first];
-    BindingTable cur;
-    cur.columns = p.Vars();
-    std::unordered_set<std::string> bound(cur.columns.begin(),
-                                          cur.columns.end());
-    out.status = table_->ScanShard(shards[i], p.ConstantExtent(), &out.meter,
-                                   MaterializeInto(p, &cur, &out.meter));
-    if (!out.status.ok()) return;
-    out.status = JoinRemaining(&local, &cur, &bound, 1, &out.meter,
-                               &shared_joins);
-    if (!out.status.ok()) return;
-    out.table = cur.Project(out_vars);
-  });
-
-  // ---- merge in ascending shard order (deterministic) -------------------
-  // Shared hash builds first, in pattern order: each was charged exactly
-  // once however many shards probed it.
-  for (auto& [idx, entry] : shared_joins.entries) {
-    (void)idx;
-    DSKG_RETURN_NOT_OK(entry.status);
-    meter->Merge(entry.build_meter);
-  }
-  BindingTable merged;
-  merged.columns = out_vars;
-  for (ShardOutcome& out : outcomes) {
-    DSKG_RETURN_NOT_OK(out.status);
-    meter->Merge(out.meter);
-    if (out.table.columns.size() != out_vars.size()) {
-      if (!out.table.empty()) {
-        return Status::Internal("projection lost columns unexpectedly");
-      }
-      continue;  // empty shard cut short by an empty intermediate
-    }
-    merged.AppendRowsFrom(out.table);
-  }
-  return merged;
-}
-
-Result<BindingTable> Executor::Run(const sparql::Query& query,
-                                   const BindingTable* seed,
-                                   CostMeter* meter) const {
-  return ExecuteCompiled(Compile(query), nullptr, seed, meter);
-}
-
 Result<BindingTable> Executor::ExecuteCompiledJoined(
     const CompiledQuery& cq, const TermId* param_values,
     const BindingTable* seed, CostMeter* meter) const {
@@ -406,14 +256,23 @@ Result<BindingTable> Executor::ExecuteCompiledJoined(
     // Reading the seed out of the temporary table space.
     meter->Add(Op::kSeqScanTuple, cur.NumRows());
   } else {
-    // Start from the pattern with the smallest estimated extent.
+    // Start from the pattern with the smallest estimated extent. `cur`'s
+    // columns are exactly the pattern's variables, so each matching
+    // triple's extracted values are the row — one flat-buffer bump.
     EncodedPattern& p = patterns[SmallestExtentPattern(*table_, patterns)];
     p.used = true;
     ++num_joined;
     cur.columns = p.Vars();
     for (const std::string& v : cur.columns) bound.insert(v);
-    Status scan = table_->ScanPattern(p.ConstantExtent(), meter,
-                                      MaterializeInto(p, &cur, meter));
+    Status scan =
+        table_->ScanPattern(p.ConstantExtent(), meter, [&](const Triple& t) {
+          TermId vals[3];
+          if (!p.ExtractVarValues(t, vals)) return true;
+          meter->Add(Op::kMaterializeTuple);
+          TermId* row = cur.AppendRow();
+          for (size_t v = 0; v < p.NumVars(); ++v) row[v] = vals[v];
+          return !meter->ExceededBudget();
+        });
     DSKG_RETURN_NOT_OK(scan);
     if (meter->ExceededBudget()) {
       return Status::Cancelled("relational execution exceeded cost budget");
@@ -450,8 +309,7 @@ Result<BindingTable> Executor::ExecuteCompiled(
 Status Executor::JoinRemaining(std::vector<EncodedPattern>* patterns_ptr,
                                BindingTable* cur_ptr,
                                std::unordered_set<std::string>* bound_ptr,
-                               size_t num_joined, CostMeter* meter,
-                               SharedJoinState* shared) const {
+                               size_t num_joined, CostMeter* meter) const {
   std::vector<EncodedPattern>& patterns = *patterns_ptr;
   BindingTable& cur = *cur_ptr;
   std::unordered_set<std::string>& bound = *bound_ptr;
@@ -556,53 +414,23 @@ Status Executor::JoinRemaining(std::vector<EncodedPattern>* patterns_ptr,
 
     if (use_hash) {
       // ---- hash join: scan the extent once, probe with outer rows ----
-      // The build side depends only on the pattern's constant extent and
-      // the plan-time variable split, so `build` is the same work whoever
-      // runs it. Serial path: build locally, charging `meter`. Sharded
-      // path: the first shard choosing a hash join on this pattern builds
-      // into the shared entry (cost on the entry's meter, folded in once
-      // by ExecuteSharded); everyone else probes it read-only,
-      // eliminating the per-shard duplicate extent scans +
-      // kHashBuildTuple charges.
-      auto build = [&](JoinBuild* jb, CostMeter* build_meter) -> Status {
-        jb->stride = num_new;
-        return table_->ScanPattern(
-            p.ConstantExtent(), build_meter, [&](const Triple& t) {
-              TermId vals[3];
-              if (!p.ExtractVarValues(t, vals)) return true;
-              JoinKey key = key_src;  // copies n; values filled below
-              for (uint8_t k = 0; k < key.n; ++k) {
-                key.v[k] = vals[key_src.v[k]];
-              }
-              build_meter->Add(Op::kHashBuildTuple);
-              JoinBuild::Group& g = jb->groups[key];
-              ++g.count;
-              for (size_t j = 0; j < num_new; ++j) {
-                g.new_vals.push_back(vals[new_var_src[j]]);
-              }
-              return !build_meter->ExceededBudget();
-            });
-      };
-      const JoinBuild* jb = nullptr;
-      JoinBuild local_build;
-      if (shared != nullptr) {
-        SharedJoinState::Entry* entry = shared->EntryFor(best);
-        {
-          std::lock_guard<std::mutex> lock(entry->mu);
-          if (!entry->built) {
-            // Inherit the query's cost model and throttle (every shard
-            // meter carries the same ones), not CostMeter's defaults.
-            entry->build_meter = CostMeter(meter->model(), meter->throttle());
-            entry->status = build(&entry->build, &entry->build_meter);
-            entry->built = true;
-          }
-        }
-        DSKG_RETURN_NOT_OK(entry->status);
-        jb = &entry->build;
-      } else {
-        DSKG_RETURN_NOT_OK(build(&local_build, meter));
-        jb = &local_build;
-      }
+      JoinBuild build;
+      DSKG_RETURN_NOT_OK(table_->ScanPattern(
+          p.ConstantExtent(), meter, [&](const Triple& t) {
+            TermId vals[3];
+            if (!p.ExtractVarValues(t, vals)) return true;
+            JoinKey key = key_src;  // copies n; values filled below
+            for (uint8_t k = 0; k < key.n; ++k) {
+              key.v[k] = vals[key_src.v[k]];
+            }
+            meter->Add(Op::kHashBuildTuple);
+            JoinBuild::Group& g = build.groups[key];
+            ++g.count;
+            for (size_t j = 0; j < num_new; ++j) {
+              g.new_vals.push_back(vals[new_var_src[j]]);
+            }
+            return !meter->ExceededBudget();
+          }));
       for (size_t r = 0; r < cur.NumRows(); ++r) {
         const TermId* row = cur.RowData(r);
         JoinKey key = probe_cols;
@@ -610,8 +438,8 @@ Status Executor::JoinRemaining(std::vector<EncodedPattern>* patterns_ptr,
           key.v[k] = row[probe_cols.v[k]];
         }
         meter->Add(Op::kHashProbeTuple);
-        const auto it = jb->groups.find(key);
-        if (it == jb->groups.end()) continue;
+        const auto it = build.groups.find(key);
+        if (it == build.groups.end()) continue;
         const JoinBuild::Group& g = it->second;
         for (uint32_t m = 0; m < g.count; ++m) {
           // Reconstruct the match's distinct-var values: join vars from

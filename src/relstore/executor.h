@@ -33,7 +33,6 @@
 
 #include "common/cost.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "rdf/dictionary.h"
 #include "relstore/triple_table.h"
 #include "sparql/ast.h"
@@ -47,21 +46,6 @@ class Executor {
   /// Neither pointer is owned; both must outlive the executor.
   Executor(const TripleTable* table, const rdf::Dictionary* dict)
       : table_(table), dict_(dict) {}
-
-  /// Evaluates `query` and returns its projected bindings.
-  /// Constants not present in the dictionary yield an empty result.
-  /// Returns Cancelled if the meter's cost budget is exhausted.
-  Result<sparql::BindingTable> Execute(const sparql::Query& query,
-                                       CostMeter* meter) const;
-
-  /// Evaluates `query` starting from an existing binding table `seed`
-  /// (e.g. intermediate results migrated from the graph store, already
-  /// resident in the temporary table space). The seed's columns join
-  /// with the query's variables by name. Projection still follows
-  /// `query.select_vars`.
-  Result<sparql::BindingTable> ExecuteWithSeed(
-      const sparql::Query& query, const sparql::BindingTable& seed,
-      CostMeter* meter) const;
 
   /// One triple-pattern position after dictionary encoding. Plan state —
   /// produced once by `Compile`, read by every execution.
@@ -141,10 +125,15 @@ class Executor {
   /// constants mark the plan `impossible`, parameters become open sites.
   CompiledQuery Compile(const sparql::Query& query) const;
 
-  /// Executes a compiled query. `param_values` supplies one term id per
-  /// entry of `cq.param_names` (may be null when the query has no
-  /// parameters); a missing or invalid value fails with
-  /// FailedPrecondition — never a silently empty table.
+  /// Executes a compiled query and returns its projected bindings.
+  /// `param_values` supplies one term id per entry of `cq.param_names`
+  /// (may be null when the query has no parameters); a missing or invalid
+  /// value fails with FailedPrecondition — never a silently empty table.
+  /// `seed` (may be null) is a binding table to start from, e.g.
+  /// intermediate results migrated from the graph store into the
+  /// temporary table space; its columns join the query's variables by
+  /// name. An `impossible` plan yields an empty table with the header.
+  /// Returns Cancelled if the meter's cost budget is exhausted.
   Result<sparql::BindingTable> ExecuteCompiled(
       const CompiledQuery& cq, const rdf::TermId* param_values,
       const sparql::BindingTable* seed, CostMeter* meter) const;
@@ -158,53 +147,12 @@ class Executor {
       const CompiledQuery& cq, const rdf::TermId* param_values,
       const sparql::BindingTable* seed, CostMeter* meter) const;
 
-  /// Sharded variant of `Execute`: splits the initial pattern's index
-  /// range into leaf-aligned shards (`TripleTable::ShardPattern`), runs
-  /// the scan *and all remaining joins* of each shard concurrently on
-  /// `pool`, and merges the per-shard binding tables and cost meters in
-  /// ascending shard order — so the result is deterministic regardless of
-  /// scheduling and its rows are the same multiset the serial path
-  /// produces. `max_shards` <= 0 means one shard per pool worker.
-  ///
-  /// Cost accounting is deterministic but not identical to the serial
-  /// plan: each shard charges its own `kIndexProbe` descent, and a shard
-  /// may pick a different join operator than the serial plan would for
-  /// its (smaller) outer relation — the usual price of a sharded plan.
-  /// Hash-join build sides, however, are *not* duplicated: the extent
-  /// hash table of a join step is built once (single extent scan, single
-  /// set of `kHashBuildTuple` charges) and probed read-only by every
-  /// shard that chooses a hash join for that step.
-  /// Falls back to the serial path when `meter` carries a cost budget
-  /// (cooperative cancellation is a serial protocol) or when the range
-  /// does not split.
-  Result<sparql::BindingTable> ExecuteSharded(const sparql::Query& query,
-                                              CostMeter* meter,
-                                              ThreadPool* pool,
-                                              int max_shards = 0) const;
-
-  /// Hash tables shared by the shards of one `ExecuteSharded` call: a
-  /// join step's extent hash table depends only on the pattern (never on
-  /// shard-local rows), so the first shard to choose a hash join builds
-  /// it — one extent scan, charged once — and every other shard probes it
-  /// read-only. Defined in executor.cc.
-  struct SharedJoinState;
-
  private:
-  Result<sparql::BindingTable> Run(const sparql::Query& query,
-                                   const sparql::BindingTable* seed,
-                                   CostMeter* meter) const;
-
   /// Greedily joins every unused pattern into `*cur`, charging `meter`.
-  /// Shared by the serial path and each shard of the sharded path. When
-  /// `shared` is non-null (sharded path), hash-join builds go through it:
-  /// built once per pattern, probed by all shards, build cost charged to
-  /// the shared entry's meter instead of `meter` (the caller folds those
-  /// in deterministically afterwards).
   Status JoinRemaining(std::vector<EncodedPattern>* patterns,
                        sparql::BindingTable* cur,
                        std::unordered_set<std::string>* bound,
-                       size_t num_joined, CostMeter* meter,
-                       SharedJoinState* shared = nullptr) const;
+                       size_t num_joined, CostMeter* meter) const;
 
   const TripleTable* table_;
   const rdf::Dictionary* dict_;

@@ -173,7 +173,7 @@ std::optional<std::pair<TripleTable::Order, int>> TripleTable::ChooseIndex(
 }
 
 Status TripleTable::RangeScan(
-    int sub_shard, Order order, const Key& lo, int prefix_len, const Key* end,
+    int sub_shard, Order order, const Key& lo, int prefix_len,
     bool charge_probe, Op tuple_op, const BoundPattern& pattern,
     CostMeter* meter, const std::function<bool(const Triple&)>& fn,
     bool* stopped) const {
@@ -184,7 +184,6 @@ Status TripleTable::RangeScan(
   const uint32_t root = RootFor(snap, sub_shard, order);
   for (auto it = idx.LowerBoundAt(root, lo); !it.AtEnd(); ++it) {
     const Key& k = *it;
-    if (end != nullptr && !(k < *end)) break;  // shard boundary
     // Stop once the bound prefix no longer matches (end of the range).
     bool in_range = true;
     for (int i = 0; i < prefix_len; ++i) {
@@ -219,9 +218,9 @@ Status TripleTable::ScanPattern(
     bool stopped = false;
     for (int s = 0; s < num_shards() && !stopped; ++s) {
       DSKG_RETURN_NOT_OK(RangeScan(s, Order::kSPO, Key{0, 0, 0},
-                                   /*prefix_len=*/0, /*end=*/nullptr,
-                                   /*charge_probe=*/false, Op::kSeqScanTuple,
-                                   pattern, meter, fn, &stopped));
+                                   /*prefix_len=*/0, /*charge_probe=*/false,
+                                   Op::kSeqScanTuple, pattern, meter, fn,
+                                   &stopped));
     }
     return Status::OK();
   }
@@ -235,91 +234,18 @@ Status TripleTable::ScanPattern(
   if (pattern.predicate.has_value()) {
     // Bound predicate: every matching row lives in one sub-shard.
     return RangeScan(ShardOf(*pattern.predicate), order, lo, prefix_len,
-                     /*end=*/nullptr, /*charge_probe=*/true,
-                     Op::kIndexScanTuple, pattern, meter, fn, nullptr);
+                     /*charge_probe=*/true, Op::kIndexScanTuple, pattern,
+                     meter, fn, nullptr);
   }
   // Predicate unbound: the matching rows may live in any sub-shard; scan
   // each in order (one descent per sub-shard).
   bool stopped = false;
   for (int s = 0; s < num_shards() && !stopped; ++s) {
-    DSKG_RETURN_NOT_OK(RangeScan(s, order, lo, prefix_len, /*end=*/nullptr,
+    DSKG_RETURN_NOT_OK(RangeScan(s, order, lo, prefix_len,
                                  /*charge_probe=*/true, Op::kIndexScanTuple,
                                  pattern, meter, fn, &stopped));
   }
   return Status::OK();
-}
-
-std::vector<TripleTable::PatternShard> TripleTable::ShardPattern(
-    const BoundPattern& pattern, int max_shards) const {
-  if (max_shards < 1) max_shards = 1;
-  const auto choice = ChooseIndex(pattern);
-  Order order = Order::kSPO;
-  int prefix_len = 0;
-  Key lo{0, 0, 0};
-  bool full_scan = true;
-  if (choice.has_value()) {
-    order = choice->first;
-    prefix_len = choice->second;
-    const Triple bound{pattern.subject.value_or(0),
-                       pattern.predicate.value_or(0),
-                       pattern.object.value_or(0)};
-    const Key full = MakeKey(order, bound);
-    for (int i = 0; i < prefix_len; ++i) lo[i] = full[i];
-    full_scan = false;
-  }
-  const auto within = [&](const Key& k) {
-    for (int i = 0; i < prefix_len; ++i) {
-      if (k[i] != lo[i]) return false;
-    }
-    return true;
-  };
-  const Snapshot* snap = CurrentSnapshot();
-  // Bound predicate: one sub-shard holds the whole range and gets the
-  // full shard budget. Otherwise split the budget evenly across
-  // sub-shards; vector order (ascending sub-shard, then key) reproduces
-  // the serial scan order.
-  std::vector<int> subs;
-  int budget = max_shards;
-  if (pattern.predicate.has_value()) {
-    subs.push_back(ShardOf(*pattern.predicate));
-  } else {
-    for (int s = 0; s < num_shards(); ++s) subs.push_back(s);
-    budget = std::max(1, max_shards / num_shards());
-  }
-  std::vector<PatternShard> shards;
-  for (const int sub : subs) {
-    const std::vector<Key> starts =
-        shards_[static_cast<size_t>(sub)].Index(order).ShardStartsAt(
-            RootFor(snap, sub, order), lo, budget, within);
-    for (size_t i = 0; i < starts.size(); ++i) {
-      PatternShard s;
-      s.begin = starts[i];
-      if (i + 1 < starts.size()) {
-        s.has_end = true;
-        s.end = starts[i + 1];
-      }
-      s.order = static_cast<int>(order);
-      s.prefix_len = prefix_len;
-      s.full_scan = full_scan;
-      s.sub_shard = sub;
-      shards.push_back(s);
-    }
-  }
-  return shards;
-}
-
-Status TripleTable::ScanShard(
-    const PatternShard& shard, const BoundPattern& pattern, CostMeter* meter,
-    const std::function<bool(const Triple&)>& fn) const {
-  // `shard.begin` carries the same bound prefix as the original scan's
-  // lower bound, so the prefix check against it is the range-end check.
-  // The serial full-table scan charges no descent; mirror that here.
-  return RangeScan(shard.sub_shard, static_cast<Order>(shard.order),
-                   shard.begin, shard.prefix_len,
-                   shard.has_end ? &shard.end : nullptr,
-                   /*charge_probe=*/!shard.full_scan,
-                   shard.full_scan ? Op::kSeqScanTuple : Op::kIndexScanTuple,
-                   pattern, meter, fn, nullptr);
 }
 
 uint64_t TripleTable::EstimateMatches(const BoundPattern& p) const {

@@ -20,8 +20,7 @@
 /// offline caller) the layout, operation order, statistics and simulated
 /// charges are exactly the unsharded table's. Bound-predicate operations
 /// touch one sub-shard; predicate-unbound scans visit sub-shards in index
-/// order 0..N-1 (the serial scan order, which `ShardPattern` consumers
-/// reproduce by merging in vector order).
+/// order 0..N-1.
 ///
 /// Snapshot reads: `MakeSnapshot` captures the tables's per-shard B+-tree
 /// roots plus summary statistics. Installing it in a thread's `ReadScope`
@@ -192,37 +191,6 @@ class TripleTable {
   Status ScanPattern(const BoundPattern& pattern, CostMeter* meter,
                      const std::function<bool(const rdf::Triple&)>& fn) const;
 
-  /// One contiguous, leaf-aligned piece of the index range that
-  /// `ScanPattern(pattern, ...)` traverses. Produced by `ShardPattern`,
-  /// consumed by `ScanShard`; treat the fields as opaque.
-  struct PatternShard {
-    std::array<rdf::TermId, 3> begin{};  ///< first key of the shard
-    std::array<rdf::TermId, 3> end{};    ///< exclusive end (when has_end)
-    bool has_end = false;  ///< false for the last shard (range-bounded)
-    int order = 0;         ///< internal index order tag
-    int prefix_len = 0;    ///< leading bound key components
-    bool full_scan = false;  ///< nothing bound: whole-table scan shard
-    int sub_shard = 0;     ///< predicate sub-shard the piece lives in
-  };
-
-  /// Splits the scan of `pattern` into at most `max_shards` disjoint
-  /// shards whose union streams exactly the triples `ScanPattern` would,
-  /// in the same global order when shards are consumed in vector order
-  /// (ascending `(sub_shard, begin)` — the serial scan order). Returns an
-  /// empty vector when nothing matches. Shards align to B+-tree leaves,
-  /// so a short range yields fewer shards than requested. No cost is
-  /// charged (catalog/boundary lookup only).
-  std::vector<PatternShard> ShardPattern(const BoundPattern& pattern,
-                                         int max_shards) const;
-
-  /// Streams the triples of one shard to `fn`, charging the same
-  /// per-tuple costs as `ScanPattern`. Each shard additionally charges
-  /// one `kIndexProbe` for its own root-to-leaf descent, so a scan split
-  /// into k shards costs k-1 extra probes versus the serial scan.
-  Status ScanShard(const PatternShard& shard, const BoundPattern& pattern,
-                   CostMeter* meter,
-                   const std::function<bool(const rdf::Triple&)>& fn) const;
-
   /// Estimated number of triples matching `pattern` (no cost charged;
   /// estimation is a catalog lookup).
   uint64_t EstimateMatches(const BoundPattern& pattern) const;
@@ -343,14 +311,13 @@ class TripleTable {
   static std::optional<std::pair<Order, int>> ChooseIndex(
       const BoundPattern& pattern);
 
-  /// Shared scan loop of `ScanPattern` and `ScanShard`: walks keys of one
-  /// sub-shard's index from the first >= `lo` while the
-  /// `prefix_len`-component prefix matches `lo` (and, when `end` is
-  /// non-null, while key < `*end`), charging `tuple_op` per key (plus one
-  /// `kIndexProbe` when `charge_probe`). Sets `*stopped` when `fn`
-  /// returned false (so multi-shard loops stop cleanly too).
+  /// `ScanPattern`'s scan loop: walks keys of one sub-shard's index from
+  /// the first >= `lo` while the `prefix_len`-component prefix matches
+  /// `lo`, charging `tuple_op` per key (plus one `kIndexProbe` when
+  /// `charge_probe`). Sets `*stopped` when `fn` returned false (so
+  /// multi-shard loops stop cleanly too).
   Status RangeScan(int sub_shard, Order order, const Key& lo, int prefix_len,
-                   const Key* end, bool charge_probe, Op tuple_op,
+                   bool charge_probe, Op tuple_op,
                    const BoundPattern& pattern, CostMeter* meter,
                    const std::function<bool(const rdf::Triple&)>& fn,
                    bool* stopped) const;

@@ -92,7 +92,8 @@ Status MaterializedViewManager::CreateView(const Query& subquery,
   view->signature = sig;
   view->definition = Generalize(subquery.patterns);
 
-  Result<BindingTable> data = executor_->Execute(view->definition, meter);
+  Result<BindingTable> data = executor_->ExecuteCompiled(
+      executor_->Compile(view->definition), nullptr, nullptr, meter);
   if (!data.ok()) return data.status();
   view->data = std::move(data).ValueOrDie();
 

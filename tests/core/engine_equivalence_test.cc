@@ -1,9 +1,10 @@
 // Randomized equivalence suite for the slot-compiled columnar pipeline:
-// every execution path (serial, sharded, seeded, graph traversal) must
-// produce the same multiset of rows (`BindingTable::SameRows`) as the
-// brute-force reference evaluator on SmallPeopleGraph and a generated
-// YAGO graph, plus directed slot-compiler edge cases (duplicate
-// variables, unused select variables, seed-column overlap).
+// every execution path (relational, seeded, serial and sharded graph
+// traversal) must produce the same multiset of rows
+// (`BindingTable::SameRows`) as the brute-force reference evaluator on
+// SmallPeopleGraph and a generated YAGO graph, plus directed
+// slot-compiler edge cases (duplicate variables, unused select
+// variables, seed-column overlap).
 
 #include <gtest/gtest.h>
 
@@ -49,7 +50,7 @@ rdf::Dataset MakeCorpus(int which) {
 /// Splits `q`'s patterns into a seed prefix and a remainder, evaluates
 /// the prefix with the executor (SELECT *), and runs the remainder from
 /// that seed. Equivalent to evaluating the whole query — the dual-store
-/// migration contract ExecuteWithSeed exists for.
+/// migration contract a seeded `ExecuteCompiled` exists for.
 Result<BindingTable> RunSeeded(const Executor& ex, const sparql::Query& q,
                                size_t seed_patterns, CostMeter* meter) {
   sparql::Query seed_q;
@@ -59,8 +60,9 @@ Result<BindingTable> RunSeeded(const Executor& ex, const sparql::Query& q,
   rest.patterns.assign(q.patterns.begin() + seed_patterns, q.patterns.end());
   rest.select_vars =
       q.select_vars.empty() ? q.AllVariables() : q.select_vars;
-  DSKG_ASSIGN_OR_RETURN(BindingTable seed, ex.Execute(seed_q, meter));
-  return ex.ExecuteWithSeed(rest, seed, meter);
+  DSKG_ASSIGN_OR_RETURN(BindingTable seed,
+                        testing::ExecuteRel(ex, seed_q, meter));
+  return testing::ExecuteRel(ex, rest, meter, &seed);
 }
 
 class EngineEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
@@ -73,7 +75,6 @@ TEST_P(EngineEquivalenceTest, AllRelationalPathsMatchReference) {
     table.BulkLoad(ds.triples(), &load);
     Executor ex(&table, &ds.dict());
     testing::ReferenceEvaluator reference(&ds);
-    ThreadPool pool(4);
 
     Rng rng(GetParam());
     for (int i = 0; i < 40; ++i) {
@@ -81,16 +82,10 @@ TEST_P(EngineEquivalenceTest, AllRelationalPathsMatchReference) {
       const BindingTable expected = reference.Evaluate(q);
 
       CostMeter m1;
-      auto serial = ex.Execute(q, &m1);
+      auto serial = testing::ExecuteRel(ex, q, &m1);
       ASSERT_TRUE(serial.ok()) << serial.status() << "\n" << q.ToString();
       EXPECT_TRUE(BindingTable::SameRows(*serial, expected))
-          << "Execute diverged: " << q.ToString();
-
-      CostMeter m2;
-      auto sharded = ex.ExecuteSharded(q, &m2, &pool, 4);
-      ASSERT_TRUE(sharded.ok()) << sharded.status() << "\n" << q.ToString();
-      EXPECT_TRUE(BindingTable::SameRows(*sharded, expected))
-          << "ExecuteSharded diverged: " << q.ToString();
+          << "ExecuteCompiled diverged: " << q.ToString();
 
       // Seed with every possible pattern prefix (seed columns then
       // overlap the remainder's join variables in all combinations the
@@ -100,7 +95,7 @@ TEST_P(EngineEquivalenceTest, AllRelationalPathsMatchReference) {
         auto seeded = RunSeeded(ex, q, k, &m3);
         ASSERT_TRUE(seeded.ok()) << seeded.status() << "\n" << q.ToString();
         EXPECT_TRUE(BindingTable::SameRows(*seeded, expected))
-            << "ExecuteWithSeed diverged (prefix " << k
+            << "seeded ExecuteCompiled diverged (prefix " << k
             << "): " << q.ToString();
       }
     }
@@ -125,10 +120,10 @@ TEST_P(EngineEquivalenceTest, TraversalMatcherMatchesReference) {
     for (int i = 0; i < 40; ++i) {
       const sparql::Query q = testing::RandomBgp(ds, &rng);
       CostMeter meter;
-      auto actual = matcher.Match(q, &meter);
+      auto actual = testing::MatchGraph(matcher, q, &meter);
       ASSERT_TRUE(actual.ok()) << actual.status() << "\n" << q.ToString();
       EXPECT_TRUE(BindingTable::SameRows(*actual, reference.Evaluate(q)))
-          << "Match diverged: " << q.ToString();
+          << "serial traversal diverged: " << q.ToString();
     }
   }
 }
@@ -157,7 +152,8 @@ TEST_P(EngineEquivalenceTest, ShardedTraversalMatchesSerial) {
       ASSERT_TRUE(plan.ok()) << plan.status() << "\n" << q.ToString();
 
       CostMeter serial_meter;
-      auto serial = matcher.Match(q, &serial_meter);
+      auto serial = matcher.MatchSharded(*plan, nullptr, &serial_meter,
+                                         /*pool=*/nullptr, /*max_shards=*/0);
       ASSERT_TRUE(serial.ok()) << serial.status() << "\n" << q.ToString();
 
       for (const int threads : {1, 2, 4}) {
@@ -488,7 +484,7 @@ TEST_F(SlotCompilerEdgeTest, DuplicateVariableAcrossAllPositions) {
   auto q = Parser::Parse("SELECT ?x WHERE { ?x marriedTo ?x . }");
   ASSERT_TRUE(q.ok());
   CostMeter meter;
-  auto r = ex_->Execute(*q, &meter);
+  auto r = testing::ExecuteRel(*ex_, *q, &meter);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
 
@@ -498,7 +494,7 @@ TEST_F(SlotCompilerEdgeTest, DuplicateVariableAcrossAllPositions) {
       "SELECT ?x WHERE { alice likes ?x . bob likes ?x . }");
   ASSERT_TRUE(q2.ok());
   CostMeter m2;
-  auto r2 = ex_->Execute(*q2, &m2);
+  auto r2 = testing::ExecuteRel(*ex_, *q2, &m2);
   ASSERT_TRUE(r2.ok());
   ASSERT_EQ(r2->NumRows(), 1u);
   EXPECT_EQ(r2->At(0, 0), ds_.dict().Lookup("film1"));
@@ -515,7 +511,7 @@ TEST_F(SlotCompilerEdgeTest, UnusedSelectVariableErrorsWhenRowsExist) {
                         sparql::PatternTerm::Const("bornIn"),
                         sparql::PatternTerm::Const("berlin")});
   CostMeter meter;
-  auto r = ex_->Execute(q, &meter);
+  auto r = testing::ExecuteRel(*ex_, q, &meter);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsInternal());
 }
@@ -527,7 +523,7 @@ TEST_F(SlotCompilerEdgeTest, UnusedSelectVariableEmptyResultKeepsHeader) {
                         sparql::PatternTerm::Const("bornIn"),
                         sparql::PatternTerm::Const("atlantis")});
   CostMeter meter;
-  auto r = ex_->Execute(q, &meter);
+  auto r = testing::ExecuteRel(*ex_, q, &meter);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(r->empty());
   EXPECT_EQ(r->columns, (std::vector<std::string>{"p", "zz"}));
@@ -550,7 +546,7 @@ TEST_F(SlotCompilerEdgeTest, SeedColumnOverlapJoinsAndCarries) {
                         sparql::PatternTerm::Const("bornIn"),
                         sparql::PatternTerm::Var("c")});
   CostMeter meter;
-  auto r = ex_->ExecuteWithSeed(q, seed, &meter);
+  auto r = testing::ExecuteRel(*ex_, q, &meter, &seed);
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->NumRows(), 2u);
   r->Canonicalize();
@@ -577,7 +573,7 @@ TEST_F(SlotCompilerEdgeTest, SeedColumnsIdenticalToPatternVars) {
   auto q = Parser::Parse("SELECT ?p ?c WHERE { ?p bornIn ?c . }");
   ASSERT_TRUE(q.ok());
   CostMeter meter;
-  auto r = ex_->ExecuteWithSeed(*q, seed, &meter);
+  auto r = testing::ExecuteRel(*ex_, *q, &meter, &seed);
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->NumRows(), 1u);  // only alice/berlin survives
   EXPECT_EQ(r->NumColumns(), 2u);

@@ -6,23 +6,16 @@
 ///   * `WorkloadRunner::RunParallel` must produce bit-identical metrics
 ///     (TTI, tuning, per-query traces) to `Run`;
 ///   * concurrent `DualStore::Process` must return the same binding
-///     tables as serial calls;
-///   * `Executor::ExecuteSharded` must return the same rows as `Execute`,
-///     and identical scan/materialize costs on single-pattern queries;
-///   * `TripleTable::ShardPattern`/`ScanShard` must partition exactly the
-///     triples `ScanPattern` streams, in the same global order.
+///     tables as serial calls.
 
 #include <memory>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/dotil.h"
 #include "core/dual_store.h"
 #include "core/runner.h"
 #include "gtest/gtest.h"
-#include "relstore/executor.h"
-#include "relstore/triple_table.h"
 #include "sparql/parser.h"
 #include "test_util.h"
 #include "workload/generators.h"
@@ -159,96 +152,6 @@ TEST(ParallelEquivalenceTest, ConcurrentProcessReturnsSameBindingTables) {
     for (size_t i = 0; i < w.queries.size(); ++i) {
       EXPECT_TRUE(BindingTable::SameRows(serial[i], parallel[i]))
           << "query " << i << " round " << round;
-    }
-  }
-}
-
-TEST(ParallelEquivalenceTest, ExecuteShardedMatchesExecuteOnRandomBgps) {
-  workload::YagoConfig gen;
-  gen.target_triples = 8000;
-  rdf::Dataset ds = workload::GenerateYago(gen);
-  DualStoreConfig cfg;
-  cfg.use_graph = false;
-  DualStore store(&ds, cfg);
-  ThreadPool pool(4);
-
-  Rng rng(7);
-  int nonempty = 0;
-  for (int i = 0; i < 60; ++i) {
-    const sparql::Query q = testing::RandomBgp(ds, &rng);
-    CostMeter serial_meter;
-    auto serial = store.executor().Execute(q, &serial_meter);
-    ASSERT_TRUE(serial.ok()) << serial.status();
-    CostMeter sharded_meter;
-    auto sharded =
-        store.executor().ExecuteSharded(q, &sharded_meter, &pool, 4);
-    ASSERT_TRUE(sharded.ok()) << sharded.status();
-    EXPECT_EQ(serial->columns, sharded->columns) << "query " << i;
-    EXPECT_TRUE(BindingTable::SameRows(*serial, *sharded)) << "query " << i;
-    if (!serial->empty()) ++nonempty;
-
-    if (q.patterns.size() == 1) {
-      // Single-pattern queries have no join-operator freedom: the sharded
-      // plan touches exactly the same tuples as the serial one.
-      EXPECT_EQ(serial_meter.count(Op::kIndexScanTuple),
-                sharded_meter.count(Op::kIndexScanTuple));
-      EXPECT_EQ(serial_meter.count(Op::kMaterializeTuple),
-                sharded_meter.count(Op::kMaterializeTuple));
-    }
-  }
-  // The fuzz corpus must actually exercise non-trivial results.
-  EXPECT_GT(nonempty, 10);
-}
-
-TEST(ParallelEquivalenceTest, ShardedScanPartitionsSerialScanExactly) {
-  workload::YagoConfig gen;
-  gen.target_triples = 6000;
-  rdf::Dataset ds = workload::GenerateYago(gen);
-  relstore::TripleTable table;
-  CostMeter load;
-  table.BulkLoad(ds.triples(), &load);
-
-  std::vector<relstore::BoundPattern> patterns;
-  patterns.push_back({});  // full scan
-  for (rdf::TermId p : table.Predicates()) {
-    relstore::BoundPattern bp;
-    bp.predicate = p;
-    patterns.push_back(bp);
-    if (patterns.size() >= 8) break;
-  }
-
-  for (const relstore::BoundPattern& bp : patterns) {
-    std::vector<rdf::Triple> serial;
-    CostMeter serial_meter;
-    ASSERT_TRUE(table
-                    .ScanPattern(bp, &serial_meter,
-                                 [&](const rdf::Triple& t) {
-                                   serial.push_back(t);
-                                   return true;
-                                 })
-                    .ok());
-
-    for (int shards : {1, 2, 4, 7}) {
-      std::vector<rdf::Triple> sharded;
-      CostMeter sharded_meter;
-      const auto specs = table.ShardPattern(bp, shards);
-      for (const auto& spec : specs) {
-        ASSERT_TRUE(table
-                        .ScanShard(spec, bp, &sharded_meter,
-                                   [&](const rdf::Triple& t) {
-                                     sharded.push_back(t);
-                                     return true;
-                                   })
-                        .ok());
-      }
-      // Exact partition: same triples, same global order.
-      EXPECT_EQ(serial, sharded) << "shards=" << shards;
-      // Same per-tuple costs; only the per-shard descent differs.
-      EXPECT_EQ(serial_meter.count(Op::kIndexScanTuple),
-                sharded_meter.count(Op::kIndexScanTuple));
-      EXPECT_EQ(serial_meter.count(Op::kSeqScanTuple),
-                sharded_meter.count(Op::kSeqScanTuple));
-      sharded_meter.Reset();
     }
   }
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "core/dual_store.h"
 #include "core/online_store.h"
@@ -32,25 +33,6 @@ using sparql::Query;
 constexpr const char* kFlagshipParam =
     "SELECT ?p WHERE { ?p bornIn $city . "
     "?p advisor ?a . ?a bornIn $city . }";
-
-/// Substitutes a query's $param sites with constants (the "old way" the
-/// prepared path must match exactly).
-Query BindAst(const Query& q,
-              const std::vector<std::pair<std::string, std::string>>& binds) {
-  Query out = q;
-  for (sparql::TriplePattern& p : out.patterns) {
-    for (sparql::PatternTerm* end : {&p.subject, &p.object}) {
-      if (!end->is_param) continue;
-      for (const auto& [name, term] : binds) {
-        if (end->text == name) {
-          *end = sparql::PatternTerm::Const(term);
-          break;
-        }
-      }
-    }
-  }
-  return out;
-}
 
 void ExpectSameExecution(const QueryExecution& a, const QueryExecution& b) {
   EXPECT_EQ(a.route, b.route);
@@ -139,15 +121,9 @@ TEST_F(SessionErrorTest, DirectEnginePathsRefuseUnboundParameters) {
   EXPECT_TRUE(exec.status().IsFailedPrecondition());
 
   CostMeter m1;
-  auto rel = store_.executor().Execute(*q, &m1);
+  auto rel = testing::ExecuteRel(store_.executor(), *q, &m1);
   ASSERT_FALSE(rel.ok());
   EXPECT_TRUE(rel.status().IsFailedPrecondition());
-
-  CostMeter m2;
-  ThreadPool pool(2);
-  auto sharded = store_.executor().ExecuteSharded(*q, &m2, &pool, 2);
-  ASSERT_FALSE(sharded.ok());
-  EXPECT_TRUE(sharded.status().IsFailedPrecondition());
 
   // All-resident store so the matcher's precondition is residency-clean.
   rdf::Dataset ds2 = testing::SmallPeopleGraph();
@@ -159,7 +135,7 @@ TEST_F(SessionErrorTest, DirectEnginePathsRefuseUnboundParameters) {
     ASSERT_TRUE(store2.MigratePartition(pred, &load).ok());
   }
   CostMeter m3;
-  auto matched = store2.matcher().Match(*q, &m3);
+  auto matched = testing::MatchGraph(store2.matcher(), *q, &m3);
   ASSERT_FALSE(matched.ok());
   EXPECT_TRUE(matched.status().IsFailedPrecondition());
 }
@@ -347,7 +323,6 @@ TEST_P(SessionCursorTest, CursorChunksMatchExecuteAllAndReference) {
     }
     testing::ReferenceEvaluator reference(&ds);
     Session session(&store);
-    ThreadPool pool(4);
 
     Rng rng(GetParam() ^ 0x5e55);
     for (int i = 0; i < 30; ++i) {
@@ -389,15 +364,6 @@ TEST_P(SessionCursorTest, CursorChunksMatchExecuteAllAndReference) {
         EXPECT_DOUBLE_EQ(drained.graph_micros, exec->graph_micros);
         EXPECT_DOUBLE_EQ(drained.migrate_micros, exec->migrate_micros);
       }
-
-      // The sharded executor path agrees too (bound form; the sharded
-      // path requires a parameter-free query).
-      const Query bound = BindAst(pq.query, pq.bindings);
-      CostMeter meter;
-      auto sharded = store.executor().ExecuteSharded(bound, &meter, &pool, 4);
-      ASSERT_TRUE(sharded.ok()) << sharded.status();
-      EXPECT_TRUE(BindingTable::SameRows(*sharded, expected))
-          << "ExecuteSharded diverged: " << bound.ToString();
     }
   }
 }
@@ -475,6 +441,99 @@ TEST(SessionCursorTest2, EarlyAbandonedGraphCursorChargesLess) {
   ASSERT_EQ(chunk.NumRows(), 1u);
   EXPECT_FALSE(done);
   EXPECT_LT(cursor->Execution().graph_micros, full->graph_micros);
+}
+
+// ---- per-query telemetry ----------------------------------------------------
+
+// Every execution, materialized or streamed, counts its route once and
+// records one simulated-time sample equal to the drained total — the
+// open step and the drain are one path, so cursors are not invisible to
+// the route telemetry. Binds $city=berlin when the text has parameters.
+void ExpectCursorRecordsLikeExecuteAll(Session* session, const char* text,
+                                       Route route) {
+  SCOPED_TRACE(text);
+  auto& reg = telemetry::MetricsRegistry::Global();
+  auto prepared = session->Prepare(text);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  if (!prepared->parameters().empty()) {
+    ASSERT_TRUE(prepared->Bind("city", "berlin").ok());
+  }
+  const std::string name = RouteName(route);
+  telemetry::Counter* count = reg.counter("query.route." + name);
+  telemetry::Histogram* sim = reg.histogram("query.sim_us." + name);
+  telemetry::Histogram* next_us = reg.histogram("session.cursor_next_us");
+
+  // ExecuteAll: one count, one sample, and no Session cursor pulls.
+  sim->Reset();
+  const uint64_t count0 = count->value();
+  const uint64_t next0 = next_us->count();
+  auto exec = prepared->ExecuteAll();
+  ASSERT_TRUE(exec.ok()) << exec.status();
+  ASSERT_EQ(exec->route, route);
+  ASSERT_GT(exec->total_micros(), 0.0);
+  EXPECT_EQ(count->value(), count0 + 1);
+  EXPECT_EQ(sim->count(), 1u);
+  EXPECT_EQ(sim->sum(), exec->total_micros());
+  EXPECT_EQ(next_us->count(), next0);
+
+  // A Session cursor drained one row per pull records the same, once,
+  // when it delivers its last row.
+  sim->Reset();
+  auto cursor = prepared->OpenCursor();
+  ASSERT_TRUE(cursor.ok()) << cursor.status();
+  EXPECT_EQ(count->value(), count0 + 1);
+  auto rows = cursor->DrainAll(1);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_TRUE(BindingTable::SameRows(*rows, exec->result));
+  EXPECT_EQ(count->value(), count0 + 2);
+  EXPECT_EQ(sim->count(), 1u);
+  EXPECT_EQ(sim->sum(), exec->total_micros());
+}
+
+TEST(SessionTelemetryTest, DrainedCursorRecordsRouteAndSimLikeExecuteAll) {
+  telemetry::MetricsRegistry::Global().set_enabled(true);
+  {
+    // bornIn and advisor resident: graph, dual and relational routes.
+    rdf::Dataset ds = testing::SmallPeopleGraph();
+    DualStoreConfig cfg;
+    cfg.graph_capacity_triples = ds.num_triples();
+    DualStore store(&ds, cfg);
+    CostMeter load;
+    for (const char* pred : {"bornIn", "advisor"}) {
+      ASSERT_TRUE(store.MigratePartition(ds.dict().Lookup(pred), &load).ok());
+    }
+    Session session(&store);
+    ExpectCursorRecordsLikeExecuteAll(&session, kFlagshipParam,
+                                      Route::kGraphOnly);
+    ExpectCursorRecordsLikeExecuteAll(
+        &session,
+        "SELECT ?p ?f WHERE { ?p bornIn $city . ?p advisor ?a . "
+        "?a bornIn $city . ?p likes ?f . }",
+        Route::kDualStore);
+    ExpectCursorRecordsLikeExecuteAll(
+        &session, "SELECT ?p ?f WHERE { ?p bornIn $city . ?p likes ?f . }",
+        Route::kRelationalOnly);
+  }
+  {
+    // RDB-views with the flagship's complex subquery materialized.
+    constexpr const char* kFlagship =
+        "SELECT ?p WHERE { ?p bornIn ?c . ?p advisor ?a . ?a bornIn ?c . }";
+    rdf::Dataset ds = testing::SmallPeopleGraph();
+    DualStoreConfig cfg;
+    cfg.use_graph = false;
+    cfg.use_views = true;
+    cfg.views_budget_rows = 100;
+    DualStore store(&ds, cfg);
+    auto q = Parser::Parse(kFlagship);
+    ASSERT_TRUE(q.ok());
+    const IdentifiedQuery split = ComplexSubqueryIdentifier::Identify(*q);
+    ASSERT_TRUE(split.HasComplexSubquery());
+    CostMeter meter;
+    ASSERT_TRUE(store.views()->CreateView(*split.complex, &meter).ok());
+    Session session(&store);
+    ExpectCursorRecordsLikeExecuteAll(&session, kFlagship,
+                                      Route::kViewAssisted);
+  }
 }
 
 // ---- plan-epoch invalidation ------------------------------------------------

@@ -41,7 +41,7 @@ class MatcherTest : public ::testing::Test {
     auto q = Parser::Parse(text);
     EXPECT_TRUE(q.ok()) << q.status();
     CostMeter meter;
-    auto r = matcher_->Match(*q, &meter);
+    auto r = testing::MatchGraph(*matcher_, *q, &meter);
     EXPECT_TRUE(r.ok()) << r.status();
     return std::move(r).ValueOrDie();
   }
@@ -83,7 +83,9 @@ TEST_F(MatcherTest, VariablePredicateRejected) {
   auto q = Parser::Parse("SELECT ?p WHERE { alice ?p bob . }");
   ASSERT_TRUE(q.ok());
   CostMeter meter;
-  EXPECT_TRUE(matcher_->Match(*q, &meter).status().IsFailedPrecondition());
+  EXPECT_TRUE(testing::MatchGraph(*matcher_, *q, &meter)
+                  .status()
+                  .IsFailedPrecondition());
 }
 
 TEST_F(MatcherTest, MissingPartitionRejected) {
@@ -95,7 +97,8 @@ TEST_F(MatcherTest, MissingPartitionRejected) {
   TraversalMatcher m(&partial, &ds_.dict());
   auto q = Parser::Parse("SELECT ?p WHERE { ?p likes ?f . ?f genre ?g . }");
   ASSERT_TRUE(q.ok());
-  EXPECT_TRUE(m.Match(*q, &meter).status().IsFailedPrecondition());
+  EXPECT_TRUE(
+      testing::MatchGraph(m, *q, &meter).status().IsFailedPrecondition());
 }
 
 TEST_F(MatcherTest, BudgetCancelsTraversal) {
@@ -104,7 +107,8 @@ TEST_F(MatcherTest, BudgetCancelsTraversal) {
   ASSERT_TRUE(q.ok());
   CostMeter meter;
   meter.set_budget_micros(0.01);
-  EXPECT_TRUE(matcher_->Match(*q, &meter).status().IsCancelled());
+  EXPECT_TRUE(
+      testing::MatchGraph(*matcher_, *q, &meter).status().IsCancelled());
 }
 
 TEST_F(MatcherTest, ChargesTraversalCosts) {
@@ -112,7 +116,7 @@ TEST_F(MatcherTest, ChargesTraversalCosts) {
       "SELECT ?p WHERE { ?p bornIn ?c . ?p advisor ?a . ?a bornIn ?c . }");
   ASSERT_TRUE(q.ok());
   CostMeter meter;
-  ASSERT_TRUE(matcher_->Match(*q, &meter).ok());
+  ASSERT_TRUE(testing::MatchGraph(*matcher_, *q, &meter).ok());
   EXPECT_GT(meter.count(Op::kAdjExpandEdge), 0u);
   EXPECT_GT(meter.count(Op::kNodeLookup), 0u);
   EXPECT_EQ(meter.count(Op::kSeqScanTuple), 0u);  // no relational ops
@@ -133,7 +137,7 @@ TEST_P(MatcherFuzzTest, AgreesWithReferenceEvaluator) {
   for (int i = 0; i < 60; ++i) {
     sparql::Query q = testing::RandomBgp(ds, &rng);
     CostMeter meter;
-    auto actual = matcher.Match(q, &meter);
+    auto actual = testing::MatchGraph(matcher, q, &meter);
     ASSERT_TRUE(actual.ok()) << actual.status() << "\n" << q.ToString();
     BindingTable expected = reference.Evaluate(q);
     EXPECT_TRUE(BindingTable::SameRows(*actual, expected))
@@ -156,7 +160,7 @@ TEST(MatcherScale, FlagshipOnGeneratedGraphMatchesReference) {
       "?a y:wasBornIn ?c . }");
   ASSERT_TRUE(q.ok());
   CostMeter meter;
-  auto r = matcher.Match(*q, &meter);
+  auto r = testing::MatchGraph(matcher, *q, &meter);
   ASSERT_TRUE(r.ok()) << r.status();
   testing::ReferenceEvaluator reference(&ds);
   EXPECT_TRUE(BindingTable::SameRows(*r, reference.Evaluate(*q)));

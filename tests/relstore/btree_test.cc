@@ -198,47 +198,6 @@ TEST(BPlusTree, BorrowKeepsLeafChainScansExact) {
   }
 }
 
-TEST(BPlusTree, ShardStartsStayExactAfterDeletions) {
-  // ShardStarts partitions a prefix range on leaf boundaries; after heavy
-  // deletion the chosen boundaries must still cover exactly the surviving
-  // range keys, in order, with no shard starting on a vanished key.
-  BPlusTree<Key> tree;
-  for (uint64_t p = 1; p <= 3; ++p) {
-    for (uint64_t i = 0; i < 300; ++i) tree.Insert({p, i, 0});
-  }
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    tree.Erase({2, rng.NextBounded(300), 0});
-  }
-  std::set<Key> survivors;
-  for (auto it = tree.Begin(); !it.AtEnd(); ++it) {
-    if ((*it)[0] == 2) survivors.insert(*it);
-  }
-  ASSERT_FALSE(survivors.empty());
-  const auto within = [](const Key& k) { return k[0] == 2; };
-  for (int max_shards : {1, 2, 4, 7, 64}) {
-    const std::vector<Key> starts =
-        tree.ShardStarts({2, 0, 0}, max_shards, within);
-    ASSERT_FALSE(starts.empty());
-    EXPECT_EQ(starts.front(), *survivors.begin());
-    // Starts are strictly ascending, live keys inside the range.
-    for (size_t s = 0; s < starts.size(); ++s) {
-      EXPECT_TRUE(survivors.count(starts[s]) > 0);
-      if (s > 0) EXPECT_LT(starts[s - 1], starts[s]);
-    }
-    // Walking shard by shard reproduces the survivors exactly.
-    std::vector<Key> walked;
-    for (size_t s = 0; s < starts.size(); ++s) {
-      for (auto it = tree.LowerBound(starts[s]); !it.AtEnd(); ++it) {
-        if (!within(*it)) break;
-        if (s + 1 < starts.size() && !((*it) < starts[s + 1])) break;
-        walked.push_back(*it);
-      }
-    }
-    EXPECT_EQ(walked, std::vector<Key>(survivors.begin(), survivors.end()));
-  }
-}
-
 TEST(BPlusTree, DeleteThenReinsertCycles) {
   // The online workload's steady state: sustained churn at constant size.
   BPlusTree<Key> tree;
@@ -297,7 +256,7 @@ TEST_P(BTreeChurnOracleTest, MatchesStdSetAcrossFreeListReuse) {
   // splits to consume free-listed node slots that merges produced, so a
   // stale-id or mislinked-recycled-node bug shows up as a divergence from
   // the std::set oracle in membership, full iteration, lower-bound probes
-  // or ShardStarts coverage.
+  // or prefix-range scans.
   Rng rng(GetParam());
   BPlusTree<Key> tree;
   std::set<Key> reference;
@@ -335,17 +294,12 @@ TEST_P(BTreeChurnOracleTest, MatchesStdSetAcrossFreeListReuse) {
         ASSERT_EQ(*it, *ref);
       }
     }
-    // ShardStarts covers the survivors of a random prefix exactly.
+    // A prefix-range scan covers the survivors of a random prefix exactly.
     const uint64_t p = rng.NextBounded(40);
-    const auto within = [&](const Key& k) { return k[0] == p; };
-    const std::vector<Key> starts = tree.ShardStarts({p, 0, 0}, 5, within);
     std::vector<Key> walked;
-    for (size_t s = 0; s < starts.size(); ++s) {
-      for (auto it = tree.LowerBound(starts[s]); !it.AtEnd(); ++it) {
-        if (!within(*it)) break;
-        if (s + 1 < starts.size() && !((*it) < starts[s + 1])) break;
-        walked.push_back(*it);
-      }
+    for (auto it = tree.LowerBound({p, 0, 0}); !it.AtEnd() && (*it)[0] == p;
+         ++it) {
+      walked.push_back(*it);
     }
     std::vector<Key> expected;
     for (auto ref = reference.lower_bound(Key{p, 0, 0});

@@ -28,7 +28,7 @@ class ExecutorTest : public ::testing::Test {
     auto q = Parser::Parse(text);
     EXPECT_TRUE(q.ok()) << q.status();
     CostMeter meter;
-    auto r = executor_->Execute(*q, &meter);
+    auto r = testing::ExecuteRel(*executor_, *q, &meter);
     EXPECT_TRUE(r.ok()) << r.status();
     return std::move(r).ValueOrDie();
   }
@@ -102,7 +102,7 @@ TEST_F(ExecutorTest, SeededExecutionJoinsByColumnName) {
   auto q = Parser::Parse("SELECT ?p ?c WHERE { ?p bornIn ?c . }");
   ASSERT_TRUE(q.ok());
   CostMeter meter;
-  auto r = executor_->ExecuteWithSeed(*q, seed, &meter);
+  auto r = testing::ExecuteRel(*executor_, *q, &meter, &seed);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->NumRows(), 2u);
   // Each row's city matches the seeded person, not the cross product.
@@ -120,7 +120,7 @@ TEST_F(ExecutorTest, BudgetCancelsExpensiveQuery) {
   ASSERT_TRUE(q.ok());
   CostMeter meter;
   meter.set_budget_micros(0.5);
-  auto r = executor_->Execute(*q, &meter);
+  auto r = testing::ExecuteRel(*executor_, *q, &meter);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCancelled());
 }
@@ -128,7 +128,8 @@ TEST_F(ExecutorTest, BudgetCancelsExpensiveQuery) {
 TEST_F(ExecutorTest, EmptyQueryRejected) {
   sparql::Query q;
   CostMeter meter;
-  EXPECT_TRUE(executor_->Execute(q, &meter).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      testing::ExecuteRel(*executor_, q, &meter).status().IsInvalidArgument());
 }
 
 TEST_F(ExecutorTest, ChargesMaterializationPerIntermediateRow) {
@@ -136,7 +137,7 @@ TEST_F(ExecutorTest, ChargesMaterializationPerIntermediateRow) {
       "SELECT ?p WHERE { ?p bornIn ?c . ?p advisor ?a . ?a bornIn ?c . }");
   ASSERT_TRUE(q.ok());
   CostMeter meter;
-  ASSERT_TRUE(executor_->Execute(*q, &meter).ok());
+  ASSERT_TRUE(testing::ExecuteRel(*executor_, *q, &meter).ok());
   EXPECT_GT(meter.count(Op::kMaterializeTuple), 0u);
   EXPECT_GT(meter.sim_micros(), 0.0);
 }
@@ -157,7 +158,7 @@ TEST_P(ExecutorFuzzTest, AgreesWithReferenceEvaluator) {
   for (int i = 0; i < 60; ++i) {
     sparql::Query q = testing::RandomBgp(ds, &rng);
     CostMeter meter;
-    auto actual = executor.Execute(q, &meter);
+    auto actual = testing::ExecuteRel(executor, q, &meter);
     ASSERT_TRUE(actual.ok()) << actual.status() << "\n" << q.ToString();
     BindingTable expected = reference.Evaluate(q);
     EXPECT_TRUE(BindingTable::SameRows(*actual, expected))
@@ -182,7 +183,7 @@ TEST(ExecutorScale, FlagshipQueryOnGeneratedGraph) {
       "?a y:wasBornIn ?c . }");
   ASSERT_TRUE(q.ok());
   CostMeter meter;
-  auto r = executor.Execute(*q, &meter);
+  auto r = testing::ExecuteRel(executor, *q, &meter);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_GT(r->NumRows(), 0u);
 

@@ -266,6 +266,69 @@ TEST_F(ServerTest, CursorStreamsSameRowsAndCumulativeCharges) {
   EXPECT_TRUE(again.status().IsNotFound());
 }
 
+// A wire cursor runs the same open step and drain as an inline EXECUTE:
+// drained by FETCH, it counts its route once and records one simulated
+// sample equal to the in-process ExecuteAll total.
+TEST_F(ServerTest, DrainedWireCursorRecordsRouteAndSimOnce) {
+  auto& reg = telemetry::MetricsRegistry::Global();
+  reg.set_enabled(true);
+  core::DualStoreConfig store_cfg;
+  store_cfg.graph_capacity_triples = ds_.num_triples();
+  StartServer({}, store_cfg);
+  // bornIn and advisor resident: the flagship runs in the graph store,
+  // the scan over `likes` in the relational store.
+  ASSERT_TRUE(store_
+                  ->TuneExclusive([](core::DualStore* s) {
+                    CostMeter meter;
+                    for (const char* pred : {"bornIn", "advisor"}) {
+                      DSKG_RETURN_NOT_OK(s->MigratePartition(
+                          s->dict().Lookup(pred), &meter));
+                    }
+                    return Status::OK();
+                  })
+                  .ok());
+  Session oracle(store_.get());
+  Client client = Connect();
+
+  struct Case {
+    uint32_t stmt;
+    const char* text;
+    core::Route route;
+  };
+  const Case cases[] = {
+      {1, kFlagshipParam, core::Route::kGraphOnly},
+      {2, "SELECT ?p ?f WHERE { ?p bornIn $city . ?p likes ?f . }",
+       core::Route::kRelationalOnly},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    ASSERT_TRUE(client.Prepare(c.stmt, c.text).ok());
+    auto local = oracle.Prepare(c.text);
+    ASSERT_TRUE(local.ok());
+    ASSERT_TRUE(local->Bind("city", "berlin").ok());
+    auto exec = local->ExecuteAll();
+    ASSERT_TRUE(exec.ok()) << exec.status();
+    ASSERT_EQ(exec->route, c.route);
+
+    const std::string route = core::RouteName(c.route);
+    telemetry::Counter* count = reg.counter("query.route." + route);
+    telemetry::Histogram* sim = reg.histogram("query.sim_us." + route);
+    sim->Reset();
+    const uint64_t count0 = count->value();
+    auto opened = client.OpenCursor(c.stmt, {{"city", "berlin"}});
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    bool done = false;
+    while (!done) {
+      auto chunk = client.Fetch(opened->cursor_id, 1);
+      ASSERT_TRUE(chunk.ok()) << chunk.status();
+      done = chunk->done;
+    }
+    EXPECT_EQ(count->value(), count0 + 1);
+    EXPECT_EQ(sim->count(), 1u);
+    EXPECT_EQ(sim->sum(), exec->total_micros());
+  }
+}
+
 TEST_F(ServerTest, ErrorsMapToWireCodes) {
   StartServer();
   Client client = Connect();

@@ -3,16 +3,21 @@
 
 /// \file test_util.h
 /// Shared test helpers: a tiny hand-written dataset, a brute-force BGP
-/// reference evaluator (independent of both engines), and a random BGP
-/// generator for property tests.
+/// reference evaluator (independent of both engines), a random BGP
+/// generator for property tests, and compile-then-run shorthands for the
+/// two engines.
 
 #include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/cost.h"
 #include "common/rng.h"
+#include "common/status.h"
+#include "graphstore/matcher.h"
 #include "rdf/dataset.h"
+#include "relstore/executor.h"
 #include "sparql/ast.h"
 #include "sparql/bindings.h"
 
@@ -167,6 +172,24 @@ inline sparql::Query RandomBgp(const rdf::Dataset& ds, Rng* rng) {
   }
   // SELECT * (all variables) keeps the comparison total.
   return q;
+}
+
+/// Compiles `q` and runs it on the relational executor, from `seed` when
+/// given — the engine's compiled entry point, as the processor uses it.
+inline Result<sparql::BindingTable> ExecuteRel(
+    const relstore::Executor& ex, const sparql::Query& q, CostMeter* meter,
+    const sparql::BindingTable* seed = nullptr) {
+  return ex.ExecuteCompiled(ex.Compile(q), nullptr, seed, meter);
+}
+
+/// Compiles `q` and drains it serially on the traversal matcher.
+inline Result<sparql::BindingTable> MatchGraph(
+    const graphstore::TraversalMatcher& m, const sparql::Query& q,
+    CostMeter* meter) {
+  DSKG_ASSIGN_OR_RETURN(graphstore::TraversalMatcher::Plan plan,
+                        m.Compile(q));
+  return m.MatchSharded(plan, nullptr, meter, /*pool=*/nullptr,
+                        /*max_shards=*/0);
 }
 
 }  // namespace dskg::testing
