@@ -20,7 +20,6 @@
 // (wall_ms / peak_rss_kb are appended to every row automatically).
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -44,6 +43,23 @@ constexpr const char* kFlagship =
     "SELECT ?p WHERE { ?p y:wasBornIn ?city . "
     "?p y:hasAcademicAdvisor ?a . ?a y:wasBornIn ?city . }";
 
+/// Every query of `w` with its bindings substituted, for the sections
+/// that drive an engine's compiled entry point directly.
+std::vector<sparql::Query> BoundQueries(const workload::Workload& w) {
+  std::vector<sparql::Query> out;
+  out.reserve(w.queries.size());
+  for (const workload::WorkloadQuery& wq : w.queries) {
+    auto q = workload::BoundQuery(wq);
+    if (!q.ok()) {
+      std::fprintf(stderr, "bound query failed: %s\n",
+                   q.status().ToString().c_str());
+      std::abort();
+    }
+    out.push_back(std::move(q).ValueOrDie());
+  }
+  return out;
+}
+
 /// Runs `body` repeatedly until ~min_ms of wall time or max_iters passes,
 /// whichever comes first, and returns (iterations, total milliseconds).
 template <typename Fn>
@@ -64,31 +80,26 @@ std::pair<uint64_t, double> TimeLoop(Fn&& body, double min_ms = 300.0,
   return {iters, elapsed_ms};
 }
 
-struct Section {
-  std::string name;
-  uint64_t iters = 0;
-  double total_ms = 0.0;
-  double per_iter_us = 0.0;
-  uint64_t work_items = 0;  // section-specific unit (keys, queries, rows)
-};
-
-void Report(JsonReporter* json, std::vector<Section>* all, Section s) {
-  s.per_iter_us = s.iters > 0 ? s.total_ms * 1000.0 / static_cast<double>(
-                                                         s.iters)
-                              : 0.0;
-  std::printf("%-22s %10llu iters %12.2f ms total %12.3f us/iter\n",
-              s.name.c_str(), static_cast<unsigned long long>(s.iters),
-              s.total_ms, s.per_iter_us);
-  json->Row("micro", {{"name", s.name},
-                      {"iters", s.iters},
-                      {"total_ms", s.total_ms},
-                      {"per_iter_us", s.per_iter_us},
-                      {"work_items", s.work_items}});
-  all->push_back(std::move(s));
+/// Prints and records one section. `work_total` is the section's work
+/// (keys, lookups, parses, rows) summed over its `iters` iterations; the
+/// record keeps one iteration's share. Every iteration of a section does
+/// the same work, so `work_items` is exact and does not depend on how
+/// many iterations the wall-clock budget allowed.
+void Report(JsonReporter* json, const char* name, uint64_t iters,
+            double total_ms, uint64_t work_total) {
+  const double per_iter_us =
+      iters > 0 ? total_ms * 1000.0 / static_cast<double>(iters) : 0.0;
+  const uint64_t work_items = iters > 0 ? work_total / iters : 0;
+  std::printf("%-22s %10llu iters %12.2f ms total %12.3f us/iter\n", name,
+              static_cast<unsigned long long>(iters), total_ms, per_iter_us);
+  json->Row("micro", {{"name", name},
+                      {"iters", iters},
+                      {"total_ms", total_ms},
+                      {"per_iter_us", per_iter_us},
+                      {"work_items", work_items}});
 }
 
 void Run(JsonReporter* json) {
-  std::vector<Section> sections;
   std::printf("Engine microbenchmarks (wall clock, DSKG_BENCH_SCALE=%.2f)\n",
               ScaleFactor());
   Rule();
@@ -107,8 +118,7 @@ void Run(JsonReporter* json) {
           sink += tree.size();
         },
         300.0, 64);
-    Report(json, &sections,
-           {"btree_insert_100k", iters, ms, 0.0, kN * iters + (sink & 1)});
+    Report(json, "btree_insert_100k", iters, ms, sink);
   }
   {
     using BenchKey = std::array<uint64_t, 3>;
@@ -122,8 +132,7 @@ void Run(JsonReporter* json) {
       sink += it.AtEnd() ? 0 : 1;
       ++q;
     });
-    Report(json, &sections,
-           {"btree_lower_bound", iters, ms, 0.0, sink});
+    Report(json, "btree_lower_bound", iters, ms, sink);
   }
 
   // ---- parser -------------------------------------------------------------
@@ -133,7 +142,7 @@ void Run(JsonReporter* json) {
       auto q = sparql::Parser::Parse(kFlagship);
       ok += q.ok() ? 1 : 0;
     });
-    Report(json, &sections, {"parse_flagship", iters, ms, 0.0, ok});
+    Report(json, "parse_flagship", iters, ms, ok);
   }
 
   // ---- flagship query, both engines --------------------------------------
@@ -160,17 +169,20 @@ void Run(JsonReporter* json) {
             rows += r.ok() ? r->NumRows() : 0;
           },
           500.0, 1u << 14);
-      Report(json, &sections, {"rel_flagship", iters, ms, 0.0, rows});
+      Report(json, "rel_flagship", iters, ms, rows);
     }
     {
+      // Plan + execute per iteration (the query is parsed once, above).
       uint64_t rows = 0;
       auto [iters, ms] = TimeLoop(
           [&] {
-            auto r = store.Process(flagship);
+            auto plan = store.Prepare(flagship);
+            if (!plan.ok()) return;
+            auto r = store.ExecutePlan(*plan, nullptr);
             rows += r.ok() ? r->result.NumRows() : 0;
           },
           500.0, 1u << 14);
-      Report(json, &sections, {"graph_flagship", iters, ms, 0.0, rows});
+      Report(json, "graph_flagship", iters, ms, rows);
     }
   }
 
@@ -182,6 +194,7 @@ void Run(JsonReporter* json) {
     rdf::Dataset ds = MakeDataset(WorkloadKind::kWatDivC);
     workload::Workload w =
         MakeWorkload(WorkloadKind::kWatDivC, ds, /*ordered=*/true);
+    const std::vector<sparql::Query> bound = BoundQueries(w);
     core::DualStoreConfig sc;
     sc.use_graph = false;
     core::DualStore store(&ds, sc);
@@ -189,15 +202,15 @@ void Run(JsonReporter* json) {
     uint64_t rows = 0;
     auto [iters, ms] = TimeLoop(
         [&] {
-          for (const workload::WorkloadQuery& wq : w.queries) {
+          for (const sparql::Query& q : bound) {
             CostMeter meter;
-            auto r = ex.ExecuteCompiled(ex.Compile(wq.query), nullptr,
-                                        nullptr, &meter);
+            auto r = ex.ExecuteCompiled(ex.Compile(q), nullptr, nullptr,
+                                        &meter);
             rows += r.ok() ? r->NumRows() : 0;
           }
         },
         1500.0, 64);
-    Report(json, &sections, {"rel_complex_mix", iters, ms, 0.0, rows});
+    Report(json, "rel_complex_mix", iters, ms, rows);
     json->Row("mix", {{"engine", "relational"},
                       {"dataset_triples", ds.num_triples()},
                       {"queries_per_pass",
@@ -219,9 +232,10 @@ void Run(JsonReporter* json) {
     sc.use_graph = true;
     sc.graph_capacity_triples = ds.num_triples();
     core::DualStore store(&ds, sc);
+    const std::vector<sparql::Query> bound = BoundQueries(w);
     CostMeter load;
-    for (const workload::WorkloadQuery& wq : w.queries) {
-      for (const std::string& pred : wq.query.ConstantPredicates()) {
+    for (const sparql::Query& q : bound) {
+      for (const std::string& pred : q.ConstantPredicates()) {
         const rdf::TermId id = ds.dict().Lookup(pred);
         if (id != rdf::kInvalidTermId && !store.graph().HasPredicate(id)) {
           (void)store.MigratePartition(id, &load);
@@ -233,9 +247,9 @@ void Run(JsonReporter* json) {
     uint64_t matched = 0;
     auto [iters, ms] = TimeLoop(
         [&] {
-          for (const workload::WorkloadQuery& wq : w.queries) {
+          for (const sparql::Query& q : bound) {
             CostMeter meter;
-            auto plan = matcher.Compile(wq.query);
+            auto plan = matcher.Compile(q);
             if (!plan.ok()) continue;
             auto r = matcher.MatchSharded(*plan, nullptr, &meter,
                                           /*pool=*/nullptr,
@@ -247,7 +261,7 @@ void Run(JsonReporter* json) {
           }
         },
         1500.0, 64);
-    Report(json, &sections, {"graph_complex_mix", iters, ms, 0.0, rows});
+    Report(json, "graph_complex_mix", iters, ms, rows);
     // `matched` < queries * passes means some queries errored (e.g. a
     // template predicate absent at this scale): surface it so trajectory
     // runs are comparable, and say so on stdout.
@@ -271,14 +285,13 @@ void Run(JsonReporter* json) {
 
   // ---- prepare-once / execute-many vs parse-per-query ---------------------
   // The session-API amortization on the WatDiv-C complex mix: the
-  // parse-per-query baseline instantiates each execution the way the old
-  // workload path did (string-substitute the template's $params, re-parse,
-  // re-identify, re-plan), while the prepared path binds new parameter
-  // values into the cached plan. Execution work is identical by design
-  // (simulated charges are bit-equal), so the delta is exactly the
-  // plan-time work the prepared-statement API removes. A deliberately
-  // small extent keeps per-execution engine time low so the amortized
-  // share is visible and stable.
+  // parse-per-query baseline runs each execution from its bound text
+  // (parse, identify, route, slot-compile, execute), while the prepared
+  // path binds new parameter values into the cached plan. Execution work
+  // is identical by design (simulated charges are bit-equal), so the
+  // delta is exactly the plan-time work the prepared-statement API
+  // removes. A deliberately small extent keeps per-execution engine time
+  // low so the amortized share is visible and stable.
   {
     workload::WatDivConfig cfg;
     cfg.target_triples = std::max<uint64_t>(Scaled(8000), 6000);
@@ -298,33 +311,10 @@ void Run(JsonReporter* json) {
     sc.use_graph = false;
     core::DualStore store(&ds, sc);
 
-    // The old instantiation path: substitute $params into the text.
-    auto instantiate = [](std::string text,
-                          const std::vector<std::pair<std::string,
-                                                      std::string>>& binds) {
-      for (const auto& [p, v] : binds) {
-        const std::string needle = "$" + p;
-        size_t pos = 0;
-        while ((pos = text.find(needle, pos)) != std::string::npos) {
-          const size_t after = pos + needle.size();
-          const bool boundary =
-              after >= text.size() ||
-              (!std::isalnum(static_cast<unsigned char>(text[after])) &&
-               text[after] != '_');
-          if (boundary) {
-            text.replace(pos, needle.size(), v);
-            pos += v.size();
-          } else {
-            pos += needle.size();
-          }
-        }
-      }
-      return text;
-    };
     std::vector<std::string> bound_texts;
     bound_texts.reserve(w.queries.size());
-    for (const workload::WorkloadQuery& wq : w.queries) {
-      bound_texts.push_back(instantiate(wq.prepared_text, wq.bindings));
+    for (const sparql::Query& q : BoundQueries(w)) {
+      bound_texts.push_back(q.ToString());
     }
 
     // One prepared handle per query (all handles of a template share the
@@ -343,46 +333,60 @@ void Run(JsonReporter* json) {
     }
 
     using Clock = std::chrono::steady_clock;
-    const int kPasses = 8;  // 8 x 15 queries = 120 executions per round
-    const int kRounds = 3;  // alternate rounds, keep each path's best
+    const int kPasses = 8;  // 8 x 15 queries = 120 executions per leg
     uint64_t rows_baseline = 0;
     uint64_t rows_prepared = 0;
-    double best_baseline_ms = std::numeric_limits<double>::max();
-    double best_prepared_ms = std::numeric_limits<double>::max();
-    for (int round = 0; round < kRounds; ++round) {
-      uint64_t rows_b = 0;
-      const auto b0 = Clock::now();
+    // One timed leg of each path; each returns its wall milliseconds.
+    auto run_baseline = [&] {
+      uint64_t rows = 0;
+      const auto t0 = Clock::now();
       for (int pass = 0; pass < kPasses; ++pass) {
         for (const std::string& text : bound_texts) {
-          auto r = store.Process(text);  // parse + identify + plan + run
-          rows_b += r.ok() ? r->result.NumRows() : 0;
+          auto q = sparql::Parser::Parse(text);
+          if (!q.ok()) continue;
+          auto plan = store.Prepare(*q);  // identify + route + compile
+          if (!plan.ok()) continue;
+          auto r = store.ExecutePlan(*plan, nullptr);
+          rows += r.ok() ? r->result.NumRows() : 0;
         }
       }
-      best_baseline_ms = std::min(
-          best_baseline_ms,
-          std::chrono::duration<double, std::milli>(Clock::now() - b0)
-              .count());
-
-      uint64_t rows_p = 0;
-      const auto p0 = Clock::now();
+      rows_baseline = rows;
+      return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+          .count();
+    };
+    auto run_prepared = [&] {
+      uint64_t rows = 0;
+      const auto t0 = Clock::now();
       for (int pass = 0; pass < kPasses; ++pass) {
         for (size_t i = 0; i < prepared.size(); ++i) {
           for (const auto& [param, term] : w.queries[i].bindings) {
             (void)prepared[i].Bind(param, term);
           }
           auto r = prepared[i].ExecuteAll();  // bind-patch + run
-          rows_p += r.ok() ? r->result.NumRows() : 0;
+          rows += r.ok() ? r->result.NumRows() : 0;
         }
       }
-      best_prepared_ms = std::min(
-          best_prepared_ms,
-          std::chrono::duration<double, std::milli>(Clock::now() - p0)
-              .count());
-      rows_baseline = rows_b;
-      rows_prepared = rows_p;
+      rows_prepared = rows;
+      return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+          .count();
+    };
+    // Each path keeps its best leg over many rounds, and the rounds
+    // alternate which path runs first, so neither path is always the one
+    // that finds the caches cold or a neighbour's burst on the machine.
+    const int kRounds = 16;
+    double best_baseline_ms = std::numeric_limits<double>::max();
+    double best_prepared_ms = std::numeric_limits<double>::max();
+    for (int round = 0; round < kRounds; ++round) {
+      if (round % 2 == 0) {
+        best_baseline_ms = std::min(best_baseline_ms, run_baseline());
+        best_prepared_ms = std::min(best_prepared_ms, run_prepared());
+      } else {
+        best_prepared_ms = std::min(best_prepared_ms, run_prepared());
+        best_baseline_ms = std::min(best_baseline_ms, run_baseline());
+      }
     }
 
-    // The removed work, measured directly: substitution + parse +
+    // The removed work, measured directly: parse + substitution +
     // identification + routing + slot compilation (no execution).
     uint64_t prep_iters = 0;
     double prep_ms = 0;
@@ -390,8 +394,7 @@ void Run(JsonReporter* json) {
       const auto t0 = Clock::now();
       while (prep_ms < 200.0) {
         for (const workload::WorkloadQuery& wq : w.queries) {
-          const std::string text = instantiate(wq.prepared_text, wq.bindings);
-          auto q = sparql::Parser::Parse(text);
+          auto q = workload::BoundQuery(wq);
           if (q.ok()) {
             auto plan = store.Prepare(*q);
             prep_iters += plan.ok() ? 1 : 0;
@@ -413,10 +416,10 @@ void Run(JsonReporter* json) {
                        : 0.0;
     // The CI-guarded bit. The prepared path does strictly less work per
     // execution, but this is a wall-clock comparison on shared runners:
-    // a 10% noise margin keeps the gate honest (losing the amortization
-    // entirely would make the two paths equal, well past the margin)
-    // without flaking on scheduler jitter. The raw per-exec numbers and
-    // speedup are recorded alongside for trajectory tracking.
+    // it compares each path's best leg over the interleaved rounds, with
+    // a 10% noise margin (losing the amortization entirely would make
+    // the two paths equal, well past the margin). The raw per-exec
+    // numbers and speedup are recorded alongside for trajectory tracking.
     const int prepared_slower = prep_us_exec <= base_us * 1.10 ? 0 : 1;
     const int rows_match = rows_baseline == rows_prepared ? 1 : 0;
     std::printf("%-22s %10llu execs  %10.3f us/exec parse-per-query\n",
@@ -424,7 +427,7 @@ void Run(JsonReporter* json) {
                 static_cast<unsigned long long>(executions), base_us);
     std::printf("%-22s %10s        %10.3f us/exec prepared (bind+run)\n", "",
                 "", prep_us_exec);
-    std::printf("  removed per execution: %.3f us (substitute+parse+"
+    std::printf("  removed per execution: %.3f us (parse+substitute+"
                 "identify+plan), speedup %.2fx, rows_match=%d\n",
                 removed_us, prep_us_exec > 0 ? base_us / prep_us_exec : 0.0,
                 rows_match);

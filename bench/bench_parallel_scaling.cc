@@ -3,7 +3,7 @@
 // Not a figure of the paper — this bench exercises the ThreadPool-backed
 // execution paths added on top of the reproduction:
 //
-//   1. `WorkloadRunner::RunParallel` — the queries of each batch run
+//   1. `WorkloadRunner::Run` with a pool — the queries of each batch run
 //      concurrently (tuning stays serial between batches). Reported
 //      throughput is *wall-clock* queries/second; the simulated TTI is
 //      printed alongside and must be identical at every thread count
@@ -43,7 +43,7 @@ int MaxThreads() {
 }
 
 void RunBatchScaling(JsonReporter* json) {
-  std::printf("Batch-parallel execution (WorkloadRunner::RunParallel)\n");
+  std::printf("Batch-parallel execution (WorkloadRunner::Run, pooled)\n");
   std::printf("hardware threads: %zu\n\n", ThreadPool::DefaultThreads());
 
   Rule();
@@ -89,7 +89,7 @@ void RunBatchScaling(JsonReporter* json) {
     store.SetExecutionPool(&pool);
     tuner.set_probe_pool(&pool);
     const auto t0 = std::chrono::steady_clock::now();
-    auto m = runner.RunParallel(w, /*num_batches=*/5, &pool);
+    auto m = runner.Run(w, /*num_batches=*/5, &pool);
     const double ms = WallMillis(t0);
     if (!m.ok()) {
       std::fprintf(stderr, "run failed: %s\n", m.status().ToString().c_str());

@@ -39,6 +39,7 @@
 #include "bench_util.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "core/session.h"
 
 namespace dskg::bench {
 namespace {
@@ -104,8 +105,9 @@ bool Run(JsonReporter* json, int max_step, ThreadPool* pool) {
                {"index_nodes", rel.table().IndexNodes()},
                {"load_wall_ms", load_wall_ms}});
 
+    core::Session rel_session(&rel);
     const auto rel_start = std::chrono::steady_clock::now();
-    auto r1 = rel.Process(kQuery);
+    auto r1 = rel_session.Execute(kQuery);
     const double rel_wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - rel_start)
@@ -130,8 +132,9 @@ bool Run(JsonReporter* json, int max_step, ThreadPool* pool) {
         return false;
       }
     }
+    core::Session dual_session(&dual);
     const auto graph_start = std::chrono::steady_clock::now();
-    auto r2 = dual.Process(kQuery);
+    auto r2 = dual_session.Execute(kQuery);
     const double graph_wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - graph_start)

@@ -170,7 +170,8 @@ int ResumeDemo(const std::string& dir) {
   std::printf("  rows:              %llu\n",
               static_cast<unsigned long long>(
                   (*store)->active().dataset().num_triples()));
-  auto exec = (*store)->Process(kFlagship);
+  core::Session session(store->get());
+  auto exec = session.Execute(kFlagship);
   if (!exec.ok()) {
     std::fprintf(stderr, "%s\n", exec.status().ToString().c_str());
     return 1;

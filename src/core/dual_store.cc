@@ -2,8 +2,6 @@
 
 #include <unordered_set>
 
-#include "sparql/parser.h"
-
 namespace dskg::core {
 
 using rdf::TermId;
@@ -51,15 +49,6 @@ DualStore::DualStore(rdf::Dataset* dataset, const DualStoreConfig& config,
   pc.graph_throttle = config.graph_throttle;
   processor_ = std::make_unique<QueryProcessor>(
       &executor_, &graph_, &matcher_, views_.get(), &dataset->dict(), pc);
-}
-
-Result<QueryExecution> DualStore::Process(const Query& query) const {
-  return processor_->Process(query);
-}
-
-Result<QueryExecution> DualStore::Process(std::string_view text) const {
-  DSKG_ASSIGN_OR_RETURN(Query query, sparql::Parser::Parse(text));
-  return processor_->Process(query);
 }
 
 Result<PreparedPlan> DualStore::Prepare(const Query& query) const {

@@ -16,12 +16,13 @@
 ///  * RDB-views — `use_views = true`, `views_budget_rows > 0`
 ///  * RDB-GDB   — `use_graph = true`, `graph_capacity_triples > 0`
 ///
-/// Typical use:
+/// Typical use (queries go through a `core::Session`, session.h):
 /// \code
 ///   rdf::Dataset ds = workload::GenerateYago({.target_triples = 100000});
 ///   core::DualStore store(&ds, {.graph_capacity_triples =
 ///                                   ds.num_triples() / 4});
-///   auto exec = store.Process(
+///   core::Session session(&store);
+///   auto exec = session.Execute(
 ///       "SELECT ?p WHERE { ?p y:wasBornIn ?c . "
 ///       "?p y:hasAcademicAdvisor ?a . ?a y:wasBornIn ?c . }");
 /// \endcode
@@ -88,17 +89,9 @@ class DualStore {
   DualStore(const DualStore&) = delete;
   DualStore& operator=(const DualStore&) = delete;
 
-  // ---- online path --------------------------------------------------------
-
-  /// Routes and executes a parsed query (Algorithm 3).
-  Result<QueryExecution> Process(const sparql::Query& query) const;
-
-  /// Parses `text` and processes it.
-  Result<QueryExecution> Process(std::string_view text) const;
-
-  // ---- prepared path ------------------------------------------------------
-  // (`core::Session` is the ergonomic front door — it adds the plan
-  // cache, `$param` binding by name, and epoch re-validation on top.)
+  // ---- query path (Algorithm 3) -------------------------------------------
+  // (`core::Session` is the front door — it adds the plan cache, `$param`
+  // binding by name, snapshot pinning and epoch re-validation on top.)
 
   /// Plan-time half of Algorithm 3 for `query`: identification, routing,
   /// slot compilation, stamped with the current `plan_epoch()`.
@@ -106,8 +99,9 @@ class DualStore {
 
   /// Executes a prepared plan with bound parameter values (one per
   /// `plan.params` entry; null when none). Identical results and
-  /// simulated charges as `Process` on the bound query. The caller is
-  /// responsible for epoch validation (`Session` does it transparently).
+  /// simulated charges as preparing and executing the bound query. The
+  /// caller is responsible for epoch validation (`Session` does it
+  /// transparently).
   Result<QueryExecution> ExecutePlan(const PreparedPlan& plan,
                                      const rdf::TermId* params) const;
 

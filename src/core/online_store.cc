@@ -158,26 +158,6 @@ OnlineStore::ReadGuard OnlineStore::Read() const {
   return ReadGuard(store_.get(), snap, std::move(pin));
 }
 
-Result<QueryExecution> OnlineStore::ReadGuard::Process(
-    const sparql::Query& query) const {
-  DualStore::SnapshotScope scope(snap_);
-  return store_->Process(query);
-}
-
-Result<QueryExecution> OnlineStore::ReadGuard::Process(
-    std::string_view text) const {
-  DualStore::SnapshotScope scope(snap_);
-  return store_->Process(text);
-}
-
-Result<QueryExecution> OnlineStore::Process(const sparql::Query& query) const {
-  return Read().Process(query);
-}
-
-Result<QueryExecution> OnlineStore::Process(std::string_view text) const {
-  return Read().Process(text);
-}
-
 Result<UpdateResult> OnlineStore::ApplyUpdates(const UpdateBatch& batch,
                                                CostMeter* meter) {
   DSKG_RETURN_NOT_OK(poisoned_);

@@ -94,20 +94,23 @@ class OnlineStore {
   /// Epoch-pinned access to the snapshot published at pin time. The
   /// snapshot is immutable for as long as the guard lives; queries,
   /// stats reads and result decoding through it are all safe.
+  ///
+  /// While a guard lives, the next `ApplyUpdates` cannot finish: its
+  /// reclamation step waits for every pin at or below the epoch it
+  /// retires. Hold guards for the span of one query, not longer.
   class ReadGuard {
    public:
-    /// The underlying store. Reads through it outside `Process` see LIVE
-    /// state — safe only when no applier is running. Concurrent readers
-    /// go through `Process` (or install `snapshot()` themselves).
+    /// The underlying store. Reads through it see LIVE state unless
+    /// `snapshot()` is installed — safe only when no applier is running.
+    /// Concurrent readers go through `core::Session` (which installs the
+    /// pinned snapshot for every execution), or install `snapshot()`
+    /// themselves with a `DualStore::SnapshotScope` around
+    /// `Prepare` + `ExecutePlan`.
     const DualStore& store() const { return *store_; }
     const DualStore* operator->() const { return store_; }
 
     /// The pinned immutable snapshot.
     const DualStore::Snapshot& snapshot() const { return *snap_; }
-
-    /// Processes one query against the pinned snapshot.
-    Result<QueryExecution> Process(const sparql::Query& query) const;
-    Result<QueryExecution> Process(std::string_view text) const;
 
    private:
     friend class OnlineStore;
@@ -122,10 +125,6 @@ class OnlineStore {
   /// Pins the current snapshot. Wait-free against the applier.
   ReadGuard Read() const;
 
-  /// Convenience: pin, process one query against the snapshot, unpin.
-  Result<QueryExecution> Process(const sparql::Query& query) const;
-  Result<QueryExecution> Process(std::string_view text) const;
-
   // ---- write path (one injector thread) ----------------------------------
 
   /// Applies `batch` through the sharded pipeline and publishes the
@@ -133,7 +132,16 @@ class OnlineStore {
   /// meters merge in shard order; with one shard the charges are
   /// bit-identical to the serial store's). Single injector: concurrent
   /// ApplyUpdates or TuneExclusive calls must be externally serialized;
-  /// concurrent `Read`/`Process` calls need no coordination at all.
+  /// concurrent `Read` calls and `Session` executions need no
+  /// coordination at all.
+  ///
+  /// Open cursors are the exception: the call does not return until
+  /// every `ReadGuard` pinned before its publish is released, because
+  /// reclamation waits for the retired epoch to drain
+  /// (`EpochManager::WaitUntilDrained`). A `core::Cursor` holds its guard
+  /// until it is destroyed, and a server cursor until it is drained or
+  /// closed, so an idle open cursor stalls this call for as long as it
+  /// stays open.
   ///
   /// Failure poisons the store: a half-applied batch is never published
   /// (readers keep the last published snapshot forever), but the live

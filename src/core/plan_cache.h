@@ -24,9 +24,9 @@
 ///   * Texts are LRU-bounded (`capacity`, 0 = unbounded); plans held by
 ///     callers stay alive through their shared_ptr after eviction.
 ///
-/// Attach to sessions with `Session::set_shared_plan_cache`; the server
-/// tier uses it directly (its per-connection statements are plain text +
-/// bindings, the plans all live here). Thread-safe; the map lock is
+/// The server tier uses it directly (its per-connection statements are
+/// plain text + bindings, the plans all live here); a `core::Session`
+/// keeps its own per-session cache. Thread-safe; the map lock is
 /// never held across a parse or prepare, so a slow compilation of one
 /// text does not serialize lookups of another. Losing a prepare race
 /// costs one redundant compilation; the first-installed plan wins and

@@ -245,15 +245,6 @@ Result<PreparedPlan> QueryProcessor::Prepare(const Query& query) const {
   return plan;
 }
 
-Result<QueryExecution> QueryProcessor::Process(const Query& query) const {
-  DSKG_ASSIGN_OR_RETURN(PreparedPlan plan, Prepare(query));
-  if (!plan.params.empty()) {
-    return Status::FailedPrecondition(
-        "query has unbound parameters; prepare and bind it instead");
-  }
-  return ExecutePlan(plan, nullptr);
-}
-
 // ---- execution: one open step, cursors drain it -----------------------------
 
 /// Cursor internals. Meters live here so the engine cursors can hold

@@ -23,9 +23,9 @@
 /// values — complex-subquery identification, route selection, dictionary
 /// encoding and slot compilation for every store the route touches — and
 /// returns a `PreparedPlan` that `ExecutePlan`/`OpenCursor` re-run any
-/// number of times with different `$parameter` bindings. `Process` is the
-/// classic one-shot composition of the two and behaves (and charges)
-/// exactly as before the split.
+/// number of times with different `$parameter` bindings. A query without
+/// parameters is `Prepare` + `ExecutePlan(plan, nullptr)`; `core::Session`
+/// is the public front door that composes the two.
 ///
 /// Execution has one path: a single open step runs the route dispatch
 /// once and leaves the result behind an `ExecutionCursor`; `ExecutePlan`
@@ -104,8 +104,7 @@ struct PreparedPlan {
 
   /// The route selected at prepare time. `kViewAssisted` is never planned
   /// directly — `try_view` marks plans that probe the view catalog per
-  /// execution and fall back to `kRelationalOnly` on a miss, exactly as
-  /// the one-shot processor does.
+  /// execution and fall back to `kRelationalOnly` on a miss.
   Route route = Route::kRelationalOnly;
   bool try_view = false;
 
@@ -220,18 +219,14 @@ class QueryProcessor {
   /// Executes a prepared plan with `param_values` bound (one id per entry
   /// of `plan.params`; null allowed when the plan has none): the open
   /// step plus one drain to the end. Results and simulated charges are
-  /// identical to `Process` on the equivalent bound query. An unbound or
-  /// invalid parameter fails with FailedPrecondition.
+  /// identical to preparing and executing the equivalent bound query. An
+  /// unbound or invalid parameter fails with FailedPrecondition.
   Result<QueryExecution> ExecutePlan(const PreparedPlan& plan,
                                      const rdf::TermId* param_values) const;
 
   /// Streaming variant of `ExecutePlan`; see `ExecutionCursor`.
   Result<ExecutionCursor> OpenCursor(const PreparedPlan& plan,
                                      const rdf::TermId* param_values) const;
-
-  /// Processes `query` end to end per Algorithm 3 (`Prepare` +
-  /// `ExecutePlan`, kept as the one-shot convenience).
-  Result<QueryExecution> Process(const sparql::Query& query) const;
 
   const Config& config() const { return config_; }
   void set_graph_throttle(ResourceThrottle t) { config_.graph_throttle = t; }

@@ -20,17 +20,19 @@ namespace {
 
 /// Complex subqueries of a span of workload queries (identification only;
 /// nothing is executed).
-std::vector<Query> ComplexSubqueriesOf(const WorkloadQuery* begin,
-                                       const WorkloadQuery* end) {
+Result<std::vector<Query>> ComplexSubqueriesOf(const WorkloadQuery* begin,
+                                               const WorkloadQuery* end) {
   std::vector<Query> out;
   for (const WorkloadQuery* wq = begin; wq != end; ++wq) {
-    IdentifiedQuery split = ComplexSubqueryIdentifier::Identify(wq->query);
+    DSKG_ASSIGN_OR_RETURN(Query bound, workload::BoundQuery(*wq));
+    IdentifiedQuery split = ComplexSubqueryIdentifier::Identify(bound);
     if (split.HasComplexSubquery()) out.push_back(*split.complex);
   }
   return out;
 }
 
-std::vector<Query> ComplexSubqueriesOf(const std::vector<WorkloadQuery>& qs) {
+Result<std::vector<Query>> ComplexSubqueriesOf(
+    const std::vector<WorkloadQuery>& qs) {
   return ComplexSubqueriesOf(qs.data(), qs.data() + qs.size());
 }
 
@@ -45,35 +47,30 @@ struct ProcessedQuery {
 
 /// Executes one workload query through the session's prepared-query
 /// cache: the template text is prepared once (parse + identify + route +
-/// slot-compile), every mutation is a `Bind` + execute. Results and
-/// simulated charges are identical to the one-shot `Process` path, which
-/// remains the fallback for legacy (AST-substituted) instantiations and
-/// for bindings whose term has since been deleted from the dictionary
-/// (where `Bind` refuses but the classic path's "unknown constant
-/// matches nothing" semantics must hold).
+/// slot-compile), every mutation is a `Bind` + execute.
+///
+/// A bound term that updates have deleted from the dictionary makes
+/// `Bind` (or the execution's re-resolution) fail with NotFound, yet a
+/// constant nothing carries must simply match nothing. That query runs as
+/// its bound text instead: the same prepare + execute pair, so it charges
+/// what the template would have charged with the constant in place.
 Result<QueryExecution> ExecuteViaSession(Session* session,
-                                         const WorkloadQuery& wq,
-                                         const std::function<Result<QueryExecution>()>& fallback) {
-  if (session != nullptr && !wq.prepared_text.empty()) {
-    Result<PreparedQuery> prepared = session->Prepare(wq.prepared_text);
-    if (!prepared.ok()) return prepared.status();
-    bool vanished_term = false;
-    for (const auto& [param, term] : wq.bindings) {
-      const Status s = prepared->Bind(param, term);
-      if (s.IsNotFound()) {
-        vanished_term = true;  // deleted under an online update stream
-        break;
-      }
-      DSKG_RETURN_NOT_OK(s);
-    }
-    if (!vanished_term) {
-      Result<QueryExecution> r = prepared->ExecuteAll();
-      // A bound term can also vanish between Bind and the execution's
-      // snapshot pin; that too degrades to the classic path below.
-      if (r.ok() || !r.status().IsNotFound()) return r;
-    }
+                                         const WorkloadQuery& wq) {
+  DSKG_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                        session->Prepare(wq.prepared_text));
+  Status status;
+  for (const auto& [param, term] : wq.bindings) {
+    status = prepared.Bind(param, term);
+    if (!status.ok()) break;
   }
-  return fallback();
+  if (status.ok()) {
+    Result<QueryExecution> r = prepared.ExecuteAll();
+    if (r.ok() || !r.status().IsNotFound()) return r;
+    status = r.status();
+  }
+  if (!status.IsNotFound()) return status;
+  DSKG_ASSIGN_OR_RETURN(Query bound, workload::BoundQuery(wq));
+  return session->Execute(bound.ToString());
 }
 
 /// Reduces one query's execution outcome to what the metrics need.
@@ -114,19 +111,7 @@ void Accumulate(ProcessedQuery&& pq, BatchMetrics* bm,
 }  // namespace
 
 Result<RunMetrics> WorkloadRunner::Run(const Workload& workload,
-                                       int num_batches) {
-  return RunImpl(workload, num_batches, /*pool=*/nullptr);
-}
-
-Result<RunMetrics> WorkloadRunner::RunParallel(const Workload& workload,
-                                               int num_batches,
-                                               ThreadPool* pool) {
-  return RunImpl(workload, num_batches, pool);
-}
-
-Result<RunMetrics> WorkloadRunner::RunImpl(const Workload& workload,
-                                           int num_batches,
-                                           ThreadPool* pool) {
+                                       int num_batches, ThreadPool* pool) {
   RunMetrics metrics;
   const auto batches = workload.BatchRanges(num_batches);
   const WorkloadQuery* queries = workload.queries.data();
@@ -135,18 +120,15 @@ Result<RunMetrics> WorkloadRunner::RunImpl(const Workload& workload,
   // shared by every worker, re-validated automatically when tuning
   // between batches moves the store's plan epoch.
   Session session(store_);
-  auto run_query = [&](const WorkloadQuery& wq) {
-    return ExecuteViaSession(&session, wq,
-                             [&] { return store_->Process(wq.query); });
-  };
 
   // One-off tuning happens before batch 0; its cost is attributed there.
   // Tuning is offline and serial in both paths.
   double pre_workload_tuning = 0;
   if (tuner_ != nullptr) {
     CostMeter meter;
-    DSKG_RETURN_NOT_OK(tuner_->BeforeWorkload(
-        store_, ComplexSubqueriesOf(workload.queries), &meter));
+    DSKG_ASSIGN_OR_RETURN(std::vector<Query> complex,
+                          ComplexSubqueriesOf(workload.queries));
+    DSKG_RETURN_NOT_OK(tuner_->BeforeWorkload(store_, complex, &meter));
     pre_workload_tuning = meter.sim_micros();
   }
 
@@ -160,10 +142,10 @@ Result<RunMetrics> WorkloadRunner::RunImpl(const Workload& workload,
 
     if (tuner_ != nullptr) {
       CostMeter meter;
-      DSKG_RETURN_NOT_OK(tuner_->BeforeBatch(
-          store_,
-          ComplexSubqueriesOf(queries + batch_begin, queries + batch_end),
-          &meter));
+      DSKG_ASSIGN_OR_RETURN(
+          std::vector<Query> complex,
+          ComplexSubqueriesOf(queries + batch_begin, queries + batch_end));
+      DSKG_RETURN_NOT_OK(tuner_->BeforeBatch(store_, complex, &meter));
       bm.tuning_micros += meter.sim_micros();
     }
 
@@ -175,11 +157,13 @@ Result<RunMetrics> WorkloadRunner::RunImpl(const Workload& workload,
     std::vector<ProcessedQuery> processed(batch_size);
     if (pool != nullptr) {
       pool->ParallelFor(batch_size, [&](size_t i) {
-        processed[i] = ReduceOne(run_query(queries[batch_begin + i]));
+        processed[i] =
+            ReduceOne(ExecuteViaSession(&session, queries[batch_begin + i]));
       });
     } else {
       for (size_t i = 0; i < batch_size; ++i) {
-        processed[i] = ReduceOne(run_query(queries[batch_begin + i]));
+        processed[i] =
+            ReduceOne(ExecuteViaSession(&session, queries[batch_begin + i]));
         if (!processed[i].status.ok()) break;  // serial: stop at failure
       }
     }
@@ -252,18 +236,15 @@ Result<OnlineRunMetrics> WorkloadRunner::RunOnline(
   // snapshot active when it starts, and plans prepared before an update
   // batch or a re-tune re-validate transparently (the plan epoch moved).
   Session session(store);
-  auto run_query = [&](const WorkloadQuery& wq) {
-    return ExecuteViaSession(&session, wq,
-                             [&] { return store->Process(wq.query); });
-  };
 
   // One-off tuning before any window, as in the offline protocol.
   double pre_tuning = 0;
   if (tuner_ != nullptr) {
     CostMeter meter;
+    DSKG_ASSIGN_OR_RETURN(std::vector<Query> complex,
+                          ComplexSubqueriesOf(workload.queries));
     DSKG_RETURN_NOT_OK(store->TuneExclusive([&](DualStore* s) {
-      return tuner_->BeforeWorkload(s, ComplexSubqueriesOf(workload.queries),
-                                    &meter);
+      return tuner_->BeforeWorkload(s, complex, &meter);
     }));
     pre_tuning = meter.sim_micros();
   }
@@ -285,8 +266,9 @@ Result<OnlineRunMetrics> WorkloadRunner::RunOnline(
       futures.reserve(batch_size);
       for (size_t i = 0; i < batch_size; ++i) {
         futures.push_back(pool->Submit([queries, q_begin, i, &processed,
-                                        &run_query] {
-          processed[i] = ReduceOne(run_query(queries[q_begin + i]));
+                                        &session] {
+          processed[i] =
+              ReduceOne(ExecuteViaSession(&session, queries[q_begin + i]));
         }));
       }
     }
@@ -313,7 +295,8 @@ Result<OnlineRunMetrics> WorkloadRunner::RunOnline(
       for (std::future<void>& f : futures) f.get();
     } else {
       for (size_t i = 0; i < batch_size; ++i) {
-        processed[i] = ReduceOne(run_query(queries[q_begin + i]));
+        processed[i] =
+            ReduceOne(ExecuteViaSession(&session, queries[q_begin + i]));
       }
     }
     DSKG_RETURN_NOT_OK(update_status);

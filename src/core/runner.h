@@ -149,22 +149,19 @@ class WorkloadRunner {
       : store_(store), tuner_(tuner) {}
 
   /// Runs `workload` in `num_batches` batches with tuning in between.
+  /// Every query executes through one `Session` over the store (a plan
+  /// per template text, re-bound per mutation).
+  ///
+  /// With a `pool`, the independent queries of each batch execute
+  /// concurrently (each query serial on one worker, with its own meters),
+  /// while tuning stays strictly *between* batches — offline, serial,
+  /// deterministic. Per-query traces are collected by submission index,
+  /// so the returned metrics — per-query traces, simulated costs, batch
+  /// aggregates — are bit-identical with and without a pool, whatever
+  /// the thread scheduling or pool size (the equivalence tests enforce
+  /// this; the metrics keep result *counts*, not the binding tables).
   Result<RunMetrics> Run(const workload::Workload& workload,
-                         int num_batches = 5);
-
-  /// Batch-parallel variant of `Run`: the independent queries of each
-  /// batch execute concurrently on `pool` (each query serial on one
-  /// worker, with its own meters), while tuning stays strictly *between*
-  /// batches — offline, serial, deterministic, exactly as in `Run`.
-  /// Per-query traces are collected by submission index, so the returned
-  /// metrics — per-query traces, simulated costs, batch aggregates — are
-  /// bit-identical to `Run`'s regardless of thread scheduling or pool
-  /// size, and each query's result rows are the same as a serial
-  /// `Process` would return (the equivalence tests enforce both; the
-  /// metrics keep result *counts*, not the binding tables themselves).
-  /// A null `pool` degrades to the serial path.
-  Result<RunMetrics> RunParallel(const workload::Workload& workload,
-                                 int num_batches, ThreadPool* pool);
+                         int num_batches = 5, ThreadPool* pool = nullptr);
 
   /// Runs `reps` times on the same (warming) store and returns metrics
   /// averaged over the last `reps - warmup` repetitions.
@@ -190,12 +187,6 @@ class WorkloadRunner {
                                      ThreadPool* pool);
 
  private:
-  /// Shared batch scaffolding (tuning hooks, trace aggregation) for the
-  /// serial and parallel paths; `pool == nullptr` executes inline. One
-  /// body guarantees the two paths' metrics can never drift apart.
-  Result<RunMetrics> RunImpl(const workload::Workload& workload,
-                             int num_batches, ThreadPool* pool);
-
   DualStore* store_;
   Tuner* tuner_;
 };

@@ -267,16 +267,8 @@ Result<std::shared_ptr<const PreparedPlan>> Session::PlanFor(
   // Planning proper, on first use of the text or after the epoch moved
   // (`Session::Prepare` only parses).
   telemetry::TraceScope span(Hists().plan_us, "session.plan");
-  std::shared_ptr<const PreparedPlan> shared;
-  if (shared_cache_ != nullptr) {
-    // Cross-session path: N sessions sharing the cache compile this
-    // (text, epoch) once. The cached parse in `entry` skips a re-parse.
-    DSKG_ASSIGN_OR_RETURN(
-        shared, shared_cache_->GetOrPrepare(entry->text, store, &entry->query));
-  } else {
-    DSKG_ASSIGN_OR_RETURN(PreparedPlan plan, store.Prepare(entry->query));
-    shared = std::make_shared<const PreparedPlan>(std::move(plan));
-  }
+  DSKG_ASSIGN_OR_RETURN(PreparedPlan plan, store.Prepare(entry->query));
+  auto shared = std::make_shared<const PreparedPlan>(std::move(plan));
   {
     std::lock_guard<std::mutex> lock(entry->mu);
     entry->plan = shared;

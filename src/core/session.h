@@ -24,10 +24,16 @@
 /// parameter to a dictionary id (one probe); re-executing with new
 /// bindings never re-parses, re-routes or re-encodes.
 ///
+/// `Session::Execute(text)` is the one-shot form of the same path
+/// (`Prepare` + `ExecuteAll`) for a query without parameters.
+///
 /// Snapshots and invalidation: every execution runs against one
 /// consistent snapshot — over an `OnlineStore` each execution (and each
 /// cursor, for its whole lifetime) pins the snapshot that was active when
-/// it started, so concurrent `ApplyUpdates` never tear a result. Plans
+/// it started, so concurrent `ApplyUpdates` never tear a result. A pin
+/// also holds back the writer: `OnlineStore::ApplyUpdates` returns only
+/// once every pin older than its publish is released, so an open cursor
+/// stalls the next batch until the cursor is destroyed. Plans
 /// carry the store's `plan_epoch()`; when updates or re-tuning move it
 /// (graph residency, view catalog, dictionary contents), the next
 /// execution transparently re-prepares against the pinned snapshot and
@@ -69,7 +75,6 @@
 #include "common/thread_pool.h"
 #include "core/dual_store.h"
 #include "core/online_store.h"
-#include "core/plan_cache.h"
 #include "core/query_processor.h"
 #include "rdf/triple.h"
 #include "sparql/ast.h"
@@ -114,6 +119,11 @@ struct Snapshot {
 
 /// A streaming result handle: pull-based chunks over one consistent
 /// snapshot of the store, pinned for the cursor's whole lifetime.
+///
+/// Over an `OnlineStore` the pin is a `ReadGuard` held until the cursor
+/// is destroyed — draining it does not release it. Until then the next
+/// `OnlineStore::ApplyUpdates` cannot finish reclaiming and does not
+/// return, so destroy a cursor as soon as it is no longer read.
 class Cursor {
  public:
   /// Replaces `*chunk` with the next `max_rows` (or fewer) rows; `*done`
@@ -167,7 +177,7 @@ class PreparedQuery {
 
   /// Executes with the current bindings and materializes the full result
   /// — semantics, rows and simulated cost charges identical to
-  /// `DualStore::Process` on the equivalent bound query text.
+  /// `Session::Execute` on the equivalent bound query text.
   /// FailedPrecondition if any parameter is unbound.
   Result<QueryExecution> ExecuteAll();
 
@@ -176,7 +186,8 @@ class PreparedQuery {
   /// intermediates still materialize (that is the row-store semantics the
   /// cost model charges), but the projected result is emitted chunk by
   /// chunk, and pure graph-store routes stream straight out of the
-  /// resumable traversal.
+  /// resumable traversal. Over an `OnlineStore` the returned cursor
+  /// blocks the next `ApplyUpdates` until it is destroyed (see `Cursor`).
   Result<Cursor> OpenCursor();
 
  private:
@@ -221,18 +232,6 @@ class Session {
   /// the cache is over the new bound.
   void SetPlanCacheCapacity(size_t capacity);
 
-  /// Attaches a cross-session shared plan cache (borrowed; must outlive
-  /// the session; null detaches). With a cache attached, a plan that is
-  /// missing or stale in this session's per-text entry is fetched from —
-  /// and installed into — the shared cache, so N sessions preparing the
-  /// same template against the same store state compile it once. The
-  /// session's own cache still provides the lock-free fast path for a
-  /// handle re-executing an unchanged plan.
-  void set_shared_plan_cache(SharedPlanCache* cache) {
-    shared_cache_ = cache;
-  }
-  SharedPlanCache* shared_plan_cache() const { return shared_cache_; }
-
   /// Cached plans currently held.
   size_t plan_cache_size() const;
 
@@ -243,7 +242,8 @@ class Session {
   /// Parse and planning failures surface here as `Status`.
   Result<PreparedQuery> Prepare(std::string_view text);
 
-  /// One-shot convenience: `Prepare` (cache-backed) + `ExecuteAll`.
+  /// One-shot form: `Prepare` (cache-backed) + `ExecuteAll`, the same
+  /// `DualStore::Prepare` + `ExecutePlan` pair every execution runs.
   /// Parameterized texts fail with FailedPrecondition — bind them through
   /// a `PreparedQuery` instead.
   Result<QueryExecution> Execute(std::string_view text);
@@ -289,7 +289,6 @@ class Session {
   DualStore* dual_ = nullptr;
   OnlineStore* online_ = nullptr;
   ThreadPool* pool_ = nullptr;
-  SharedPlanCache* shared_cache_ = nullptr;
 
   /// Evicts least-recently-prepared entries until the cache fits the
   /// capacity. Caller holds `cache_mu_`.

@@ -30,13 +30,24 @@ std::vector<std::pair<size_t, size_t>> Workload::BatchRanges(int n) const {
   return EvenRanges(queries.size(), n);
 }
 
-std::vector<std::vector<WorkloadQuery>> Workload::SplitBatches(int n) const {
-  std::vector<std::vector<WorkloadQuery>> out;
-  for (const auto& [begin, end] : BatchRanges(n)) {
-    out.emplace_back(queries.begin() + static_cast<ptrdiff_t>(begin),
-                     queries.begin() + static_cast<ptrdiff_t>(end));
+Result<sparql::Query> BoundQuery(const WorkloadQuery& wq) {
+  DSKG_ASSIGN_OR_RETURN(sparql::Query q,
+                        sparql::Parser::Parse(wq.prepared_text));
+  for (sparql::TriplePattern& p : q.patterns) {
+    for (sparql::PatternTerm* end : {&p.subject, &p.object}) {
+      if (!end->is_param) continue;
+      const auto it = std::find_if(
+          wq.bindings.begin(), wq.bindings.end(),
+          [&](const auto& b) { return b.first == end->text; });
+      if (it == wq.bindings.end()) {
+        return Status::InvalidArgument("parameter $" + end->text +
+                                       " has no binding in \"" +
+                                       wq.prepared_text + "\"");
+      }
+      *end = sparql::PatternTerm::Const(it->second);
+    }
   }
-  return out;
+  return q;
 }
 
 WorkloadBuilder::WorkloadBuilder(const rdf::Dataset* dataset)
@@ -86,33 +97,17 @@ Result<Workload> WorkloadBuilder::Build(
     const QueryTemplate& tmpl = templates[ti];
     DSKG_ASSIGN_OR_RETURN(sparql::Query skeleton,
                           sparql::Parser::Parse(tmpl.text));
-    // Validate slots against the skeleton: each is a `$param` (canonical)
-    // or a variable (legacy AST substitution).
-    const auto counts = skeleton.VariableCounts();
+    // Every slot must name a skeleton `$param`, and every `$param` must
+    // have a slot, or executions would fail with an unbound parameter.
     const std::vector<std::string> params = skeleton.Parameters();
-    bool all_param_slots = true;
     for (const QueryTemplate::Slot& slot : tmpl.slots) {
-      const bool is_param =
-          std::find(params.begin(), params.end(), slot.variable) !=
-          params.end();
-      if (!is_param) {
-        all_param_slots = false;
-        if (counts.find(slot.variable) == counts.end()) {
-          return Status::InvalidArgument("template " + tmpl.name +
-                                         ": slot variable ?" + slot.variable +
-                                         " not in skeleton");
-        }
-        for (const std::string& sv : skeleton.select_vars) {
-          if (sv == slot.variable) {
-            return Status::InvalidArgument("template " + tmpl.name +
-                                           ": slot variable ?" +
-                                           slot.variable + " is projected");
-          }
-        }
+      if (std::find(params.begin(), params.end(), slot.variable) ==
+          params.end()) {
+        return Status::InvalidArgument("template " + tmpl.name + ": slot " +
+                                       slot.variable +
+                                       " is not a $parameter of the skeleton");
       }
     }
-    // Every skeleton parameter must be covered by a slot, or executions
-    // would always fail with an unbound parameter.
     for (const std::string& p : params) {
       const bool covered =
           std::any_of(tmpl.slots.begin(), tmpl.slots.end(),
@@ -128,27 +123,16 @@ Result<Workload> WorkloadBuilder::Build(
 
     const int versions = 1 + options.mutations_per_template;
     for (int m = 0; m < versions; ++m) {
-      sparql::Query q = skeleton;
       WorkloadQuery wq;
+      wq.template_index = static_cast<int>(ti);
+      wq.mutation = m;
+      wq.prepared_text = tmpl.text;
       for (const QueryTemplate::Slot& slot : tmpl.slots) {
         DSKG_ASSIGN_OR_RETURN(
             std::string value,
             SampleTerm(slot.predicate, slot.sample_object, &rng));
-        const sparql::PatternTerm replacement =
-            sparql::PatternTerm::Const(value);
-        for (sparql::TriplePattern& p : q.patterns) {
-          for (sparql::PatternTerm* end : {&p.subject, &p.object}) {
-            const bool hits = (end->is_variable || end->is_param) &&
-                              end->text == slot.variable;
-            if (hits) *end = replacement;
-          }
-        }
         wq.bindings.emplace_back(slot.variable, std::move(value));
       }
-      wq.query = std::move(q);
-      wq.template_index = static_cast<int>(ti);
-      wq.mutation = m;
-      if (all_param_slots) wq.prepared_text = tmpl.text;
       out.queries.push_back(std::move(wq));
     }
   }

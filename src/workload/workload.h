@@ -33,23 +33,18 @@ std::vector<std::pair<size_t, size_t>> EvenRanges(size_t total, int n);
 /// A query template: a BGP skeleton plus slots that mutations fill with
 /// constants sampled from the dataset.
 ///
-/// Canonical templates mark their slots as `$parameters` in the text
-/// ("?p y:wonPrize $prize"), so one skeleton is prepared once and every
-/// mutation is a `Bind` — the runners route these through the session's
-/// prepared-query cache. Legacy `?variable` slots are still accepted and
-/// instantiated by AST substitution (those queries re-plan per
-/// execution).
+/// Slots are `$parameters` in the text ("?p y:wonPrize $prize"), so one
+/// skeleton is prepared once and every mutation is a `Bind` — the runners
+/// route every workload query through the session's prepared-query cache.
 struct QueryTemplate {
   /// Identifier used in reports ("yago-advisor-city").
   std::string name;
-  /// SPARQL text of the skeleton; slot positions are `$params` (or, for
-  /// legacy templates, variables).
+  /// SPARQL text of the skeleton; slot positions are `$params`.
   std::string text;
 
   /// One mutable position of the skeleton.
   struct Slot {
-    /// Parameter (or legacy variable) to fill, without the '$'/'?'.
-    /// Must not be projected.
+    /// Parameter to fill, without the '$'.
     std::string variable;
     /// Predicate whose extent supplies sample values.
     std::string predicate;
@@ -59,37 +54,36 @@ struct QueryTemplate {
   std::vector<Slot> slots;
 };
 
-/// One query of a built workload.
+/// One query of a built workload: its template's parameterized text plus
+/// the constant sampled for each parameter (`BoundQuery` derives the
+/// substituted query from the two).
 struct WorkloadQuery {
-  /// The fully bound query (every slot replaced by its sampled constant).
-  sparql::Query query;
   /// Index of the originating template (for per-template analysis).
   int template_index = 0;
   /// 0 = the template's original instantiation, 1..k = mutations.
   int mutation = 0;
 
-  /// The originating template's parameterized text, when every slot is a
-  /// `$param` — the key the runners prepare once per template and re-bind
-  /// per mutation. Empty for legacy (AST-substituted) instantiations;
-  /// those execute through the one-shot path.
+  /// The originating template's parameterized text — the key the runners
+  /// prepare once per template and re-bind per mutation.
   std::string prepared_text;
-  /// Parameter name -> sampled term text, aligned with `prepared_text`.
+  /// Parameter name -> sampled term text, one entry per slot.
   std::vector<std::pair<std::string, std::string>> bindings;
 };
+
+/// Parses `wq.prepared_text` and replaces every `$param` with its bound
+/// term: the query with constants, as the tuners' complex-subquery input
+/// and the engines' compiled entry points take it. ParseError when the
+/// text does not parse; InvalidArgument when a parameter has no binding.
+Result<sparql::Query> BoundQuery(const WorkloadQuery& wq);
 
 /// A fully instantiated workload.
 struct Workload {
   std::string name;
   std::vector<WorkloadQuery> queries;
 
-  /// Splits into `n` consecutive batches of near-equal size (the paper
-  /// uses n = 5). Earlier batches get the remainder.
-  std::vector<std::vector<WorkloadQuery>> SplitBatches(int n) const;
-
-  /// The half-open index ranges [begin, end) into `queries` of the same
-  /// `n` batches, without copying any query — the runners' hot path uses
-  /// this (a batch copy is pure overhead once workloads reach production
-  /// size). Guaranteed to agree with `SplitBatches`.
+  /// The half-open index ranges [begin, end) into `queries` of `n`
+  /// consecutive batches of near-equal size (the paper uses n = 5),
+  /// earlier batches taking the remainder. No query is copied.
   std::vector<std::pair<size_t, size_t>> BatchRanges(int n) const;
 };
 
@@ -109,8 +103,10 @@ class WorkloadBuilder {
   explicit WorkloadBuilder(const rdf::Dataset* dataset);
 
   /// Builds a workload named `name` from `templates`.
-  /// Fails with InvalidArgument if a template is unparsable, projects a
-  /// slot variable, or references a predicate absent from the dataset.
+  /// Fails with InvalidArgument if a template has a slot that is not a
+  /// `$param` of its skeleton, a `$param` without a slot, or a slot
+  /// predicate absent from the dataset; with ParseError if its text does
+  /// not parse.
   Result<Workload> Build(const std::string& name,
                          const std::vector<QueryTemplate>& templates,
                          const WorkloadOptions& options) const;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/dual_store.h"
+#include "core/session.h"
 #include "sparql/parser.h"
 #include "test_util.h"
 
@@ -21,12 +22,18 @@ class DualStoreTest : public ::testing::Test {
     DualStoreConfig cfg;
     cfg.graph_capacity_triples = 10;
     store_ = std::make_unique<DualStore>(&ds_, cfg);
+    session_ = std::make_unique<Session>(store_.get());
   }
 
   rdf::TermId Id(const std::string& s) { return ds_.dict().Lookup(s); }
 
+  Result<QueryExecution> Execute(std::string_view text) {
+    return session_->Execute(text);
+  }
+
   rdf::Dataset ds_;
   std::unique_ptr<DualStore> store_;
+  std::unique_ptr<Session> session_;
 };
 
 TEST_F(DualStoreTest, LoadsEntireGraphIntoRelationalStore) {
@@ -36,7 +43,7 @@ TEST_F(DualStoreTest, LoadsEntireGraphIntoRelationalStore) {
 }
 
 TEST_F(DualStoreTest, Case3RelationalWhenGraphEmpty) {
-  auto r = store_->Process(kFlagship);
+  auto r = Execute(kFlagship);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->route, Route::kRelationalOnly);
   EXPECT_EQ(r->result.NumRows(), 2u);
@@ -48,7 +55,7 @@ TEST_F(DualStoreTest, Case1GraphOnlyWhenCovered) {
   CostMeter meter;
   ASSERT_TRUE(store_->MigratePartition(Id("bornIn"), &meter).ok());
   ASSERT_TRUE(store_->MigratePartition(Id("advisor"), &meter).ok());
-  auto r = store_->Process(kFlagship);
+  auto r = Execute(kFlagship);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->route, Route::kGraphOnly);
   EXPECT_EQ(r->result.NumRows(), 2u);
@@ -61,7 +68,7 @@ TEST_F(DualStoreTest, Case2DualStoreWhenOnlySubqueryCovered) {
   ASSERT_TRUE(store_->MigratePartition(Id("bornIn"), &meter).ok());
   ASSERT_TRUE(store_->MigratePartition(Id("advisor"), &meter).ok());
   // marriedTo is NOT resident: the query spans both stores.
-  auto r = store_->Process(
+  auto r = Execute(
       "SELECT ?s WHERE { ?p bornIn ?c . ?p advisor ?a . ?a bornIn ?c . "
       "?s marriedTo ?p . }");
   ASSERT_TRUE(r.ok()) << r.status();
@@ -76,14 +83,14 @@ TEST_F(DualStoreTest, DualRouteAgreesWithRelationalRoute) {
   const char* query =
       "SELECT ?p ?s WHERE { ?p bornIn ?c . ?p advisor ?a . ?a bornIn ?c . "
       "?s marriedTo ?p . }";
-  auto rel = store_->Process(query);
+  auto rel = Execute(query);
   ASSERT_TRUE(rel.ok());
   ASSERT_EQ(rel->route, Route::kRelationalOnly);
 
   CostMeter meter;
   ASSERT_TRUE(store_->MigratePartition(Id("bornIn"), &meter).ok());
   ASSERT_TRUE(store_->MigratePartition(Id("advisor"), &meter).ok());
-  auto dual = store_->Process(query);
+  auto dual = Execute(query);
   ASSERT_TRUE(dual.ok());
   ASSERT_EQ(dual->route, Route::kDualStore);
   EXPECT_TRUE(sparql::BindingTable::SameRows(rel->result, dual->result));
@@ -158,9 +165,9 @@ TEST_F(DualStoreTest, InsertUpdatesBothStoresWhenResident) {
   ASSERT_TRUE(store_->Insert("eve", "likes", "film1", &meter).ok());
   EXPECT_EQ(store_->graph().PartitionTriples(Id("likes")), before + 1);
   // And queryable relationally immediately.
-  auto r = store_->Process("SELECT ?p WHERE { ?p bornIn ?c . }");
+  auto r = Execute("SELECT ?p WHERE { ?p bornIn ?c . }");
   ASSERT_TRUE(r.ok());
-  auto r2 = store_->Process("SELECT ?f WHERE { eve likes ?f . }");
+  auto r2 = Execute("SELECT ?f WHERE { eve likes ?f . }");
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2->result.NumRows(), 1u);
 }
@@ -174,7 +181,7 @@ TEST_F(DualStoreTest, InsertIntoNonResidentPartitionOnlyTouchesTable) {
 }
 
 TEST_F(DualStoreTest, ParseErrorsSurface) {
-  auto r = store_->Process("SELETC ?p WHERE { }");
+  auto r = Execute("SELETC ?p WHERE { }");
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsParseError());
 }
@@ -196,7 +203,7 @@ TEST(DualStoreVariants, ViewsVariantUsesViewRoute) {
   CostMeter meter;
   ASSERT_TRUE(store.views()->CreateView(*split.complex, &meter).ok());
 
-  auto r = store.Process(kFlagship);
+  auto r = Session(&store).Execute(kFlagship);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->route, Route::kViewAssisted);
   EXPECT_EQ(r->result.NumRows(), 2u);
@@ -207,7 +214,7 @@ TEST(DualStoreVariants, RdbOnlyNeverRoutesToGraph) {
   DualStoreConfig cfg;
   cfg.use_graph = false;
   DualStore store(&ds, cfg);
-  auto r = store.Process(kFlagship);
+  auto r = Session(&store).Execute(kFlagship);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->route, Route::kRelationalOnly);
 }

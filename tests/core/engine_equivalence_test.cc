@@ -317,7 +317,7 @@ TEST(DotilParallelProbeTest, DecisionsAndChargesMatchSerial) {
 }
 
 // A prepared query (kept across mutations of the store) must always
-// return exactly what a freshly prepared/processed query returns: plans
+// return exactly what a freshly prepared query returns: plans
 // carry a plan epoch and re-validate after `ApplyUpdates` or re-tuning
 // moves graph residency, the view catalog or the dictionary. This is the
 // randomized oracle for that invariant: random parameterized BGPs are
@@ -418,7 +418,9 @@ TEST_P(EngineEquivalenceTest, PreparedVsFreshOracleUnderMutations) {
           }
         }
         Result<QueryExecution> prepared_exec = p.handle->ExecuteAll();
-        Result<QueryExecution> fresh = store.Process(p.bound);
+        // A cache-cold session plans the bound text anew.
+        Result<QueryExecution> fresh =
+            Session(&store).Execute(p.bound.ToString());
         if (!prepared_exec.ok()) {
           // Only a vanished bound term may fail; the fresh path then
           // returns the empty result that constant could never match.

@@ -26,6 +26,7 @@
 #include "core/dual_store.h"
 #include "core/online_store.h"
 #include "core/runner.h"
+#include "core/session.h"
 #include "core/update.h"
 #include "sparql/parser.h"
 #include "test_util.h"
@@ -48,6 +49,16 @@ Query Parse(const char* text) {
   auto q = Parser::Parse(text);
   EXPECT_TRUE(q.ok()) << q.status();
   return std::move(q).ValueOrDie();
+}
+
+/// Runs `q` against the snapshot `guard` pinned. The caller keeps the
+/// guard alive past the call, so the rows can be decoded through the
+/// same pin.
+Result<QueryExecution> ExecuteOn(const OnlineStore::ReadGuard& guard,
+                                 const Query& q) {
+  DualStore::SnapshotScope scope(&guard.snapshot());
+  DSKG_ASSIGN_OR_RETURN(PreparedPlan plan, guard->Prepare(q));
+  return guard->ExecutePlan(plan, nullptr);
 }
 
 /// Order-insensitive, id-free canonical form of a result (rows decoded
@@ -93,10 +104,11 @@ void BuildSnapshotOracle(const rdf::Dataset& base, const DualStoreConfig& cfg,
     ASSERT_NE(id, rdf::kInvalidTermId) << p;
     ASSERT_TRUE(store.MigratePartition(id, &scratch).ok()) << p;
   }
+  Session session(&store);
   for (uint64_t k = 0; k <= log.size(); ++k) {
     std::vector<std::string> per_query;
     for (const Query& q : queries) {
-      auto exec = store.Process(q);
+      auto exec = session.Execute(q.ToString());
       ASSERT_TRUE(exec.ok()) << exec.status();
       per_query.push_back(Canon(exec->result, store.dict()));
     }
@@ -147,12 +159,12 @@ void RunConcurrentShardedPhase(
       size_t qi = static_cast<size_t>(r);  // staggered start
       while (!stop.load(std::memory_order_acquire)) {
         qi = (qi + 1) % queries.size();
-        // Process() executes against the guard's pinned snapshot — the
-        // only read mode that is safe while shard appliers run. The
-        // guard stays alive through result decoding, so the epoch pin
-        // also protects the dictionary spans the rows point into.
+        // The query reads the guard's pinned snapshot — the only read
+        // mode that is safe while shard appliers run. The guard stays
+        // alive through result decoding, so the epoch pin also protects
+        // the dictionary spans the rows point into.
         OnlineStore::ReadGuard guard = store.Read();
-        auto exec = guard.Process(queries[qi]);
+        auto exec = ExecuteOn(guard, queries[qi]);
         if (!exec.ok()) {
           observed[r].push_back({qi, "ERROR: " + exec.status().ToString()});
           return;
@@ -197,7 +209,7 @@ void RunConcurrentShardedPhase(
   for (int publish = 0; publish < 2; ++publish) {
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       OnlineStore::ReadGuard guard = store.Read();
-      auto exec = guard.Process(queries[qi]);
+      auto exec = ExecuteOn(guard, queries[qi]);
       ASSERT_TRUE(exec.ok()) << exec.status();
       EXPECT_EQ(Canon(exec->result, guard.store().dict()),
                 oracle[log.size()][qi])
@@ -239,12 +251,18 @@ class ApplyUpdatesTest : public ::testing::Test {
     DualStoreConfig cfg;
     cfg.graph_capacity_triples = 8;
     store_ = std::make_unique<DualStore>(&ds_, cfg);
+    session_ = std::make_unique<Session>(store_.get());
   }
 
   TermId Id(const std::string& term) { return ds_.dict().Lookup(term); }
 
+  Result<QueryExecution> Execute(std::string_view text) {
+    return session_->Execute(text);
+  }
+
   rdf::Dataset ds_;
   std::unique_ptr<DualStore> store_;
+  std::unique_ptr<Session> session_;
 };
 
 TEST_F(ApplyUpdatesTest, InsertAndDeleteKeepTableAndDatasetAligned) {
@@ -264,10 +282,10 @@ TEST_F(ApplyUpdatesTest, InsertAndDeleteKeepTableAndDatasetAligned) {
   EXPECT_EQ(meter.count(Op::kInsertTuple), 1u);
   EXPECT_EQ(meter.count(Op::kRemoveTuple), 1u);
 
-  auto gone = store_->Process("SELECT ?f WHERE { dave likes ?f . }");
+  auto gone = Execute("SELECT ?f WHERE { dave likes ?f . }");
   ASSERT_TRUE(gone.ok());
   EXPECT_TRUE(gone->result.empty());
-  auto there = store_->Process("SELECT ?p WHERE { ?p bornIn berlin . }");
+  auto there = Execute("SELECT ?p WHERE { ?p bornIn berlin . }");
   ASSERT_TRUE(there.ok());
   EXPECT_EQ(there->result.NumRows(), 3u);  // alice, bob, eve
 }
@@ -319,7 +337,7 @@ TEST_F(ApplyUpdatesTest, ResidentGraphPartitionIsMaintained) {
   EXPECT_EQ(store_->graph().PartitionTriples(Id("likes")), 4u);  // +1 -1
 
   // The graph copy answers with the new knowledge (Case 1 route).
-  auto exec = store_->Process("SELECT ?p WHERE { ?p likes film2 . }");
+  auto exec = Execute("SELECT ?p WHERE { ?p likes film2 . }");
   ASSERT_TRUE(exec.ok());
   EXPECT_EQ(exec->result.NumRows(), 3u);  // carol, dave, eve
 }
@@ -346,7 +364,7 @@ TEST_F(ApplyUpdatesTest, DictionaryReclaimsAndRecyclesTerms) {
   next.ops.push_back(UpdateOp::Insert("alice", "likes", "film3"));
   ASSERT_TRUE(store_->ApplyUpdates(next).ok());
   EXPECT_EQ(dict.Lookup("film3"), comedy);
-  auto exec = store_->Process("SELECT ?p WHERE { ?p likes film3 . }");
+  auto exec = Execute("SELECT ?p WHERE { ?p likes film3 . }");
   ASSERT_TRUE(exec.ok());
   EXPECT_EQ(exec->result.NumRows(), 1u);
 }
@@ -450,7 +468,9 @@ TEST(OnlineEquivalenceTest, RandomizedYagoStream) {
   ASSERT_TRUE(w.ok()) << w.status();
   std::vector<Query> queries;
   for (size_t i = 0; i < w->queries.size() && queries.size() < 6; i += 3) {
-    queries.push_back(w->queries[i].query);
+    auto bound = workload::BoundQuery(w->queries[i]);
+    ASSERT_TRUE(bound.ok()) << bound.status();
+    queries.push_back(*std::move(bound));
   }
   Rng rng(13);
   for (int i = 0; i < 6; ++i) {
@@ -533,9 +553,11 @@ TEST(OnlineEquivalenceTest, CrossShardFanInMatchesSerial) {
       EXPECT_NEAR(meter.sim_micros(), serial_meter.sim_micros(),
                   1e-9 * (1.0 + serial_meter.sim_micros()));
     }
+    Session serial_session(&serial);
+    Session online_session(&store);
     for (const Query& q : SmallQueries()) {
-      auto s = serial.Process(q);
-      auto o = store.Process(q);
+      auto s = serial_session.Execute(q.ToString());
+      auto o = online_session.Execute(q.ToString());
       ASSERT_TRUE(s.ok() && o.ok());
       EXPECT_EQ(Canon(o->result, store.active().dict()),
                 Canon(s->result, serial.dict()));
@@ -606,9 +628,11 @@ TEST(OnlineEquivalenceTest, YagoStreamCountsAreShardCountInvariant) {
     if (shards == 1) {
       EXPECT_EQ(meter.sim_micros(), serial_meter.sim_micros());
     }
+    Session serial_session(&serial);
+    Session online_session(&store);
     for (const Query& q : probes) {
-      auto s = serial.Process(q);
-      auto o = store.Process(q);
+      auto s = serial_session.Execute(q.ToString());
+      auto o = online_session.Execute(q.ToString());
       ASSERT_TRUE(s.ok() && o.ok());
       EXPECT_EQ(Canon(o->result, store.active().dict()),
                 Canon(s->result, serial.dict()));
@@ -669,7 +693,7 @@ TEST(RunOnlineTest, SerialPathAndDisabledTuningWork) {
   w.name = "small";
   for (const Query& q : SmallQueries()) {
     workload::WorkloadQuery wq;
-    wq.query = q;
+    wq.prepared_text = q.ToString();
     w.queries.push_back(std::move(wq));
   }
   const UpdateLog log = SmallLog();

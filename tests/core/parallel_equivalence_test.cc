@@ -3,10 +3,10 @@
 /// costs. These tests pin that down on the hand-checkable SmallPeopleGraph
 /// and on a generated YAGO workload:
 ///
-///   * `WorkloadRunner::RunParallel` must produce bit-identical metrics
-///     (TTI, tuning, per-query traces) to `Run`;
-///   * concurrent `DualStore::Process` must return the same binding
-///     tables as serial calls.
+///   * `WorkloadRunner::Run` with a pool must produce bit-identical
+///     metrics (TTI, tuning, per-query traces) to `Run` without one;
+///   * concurrent `Session::Execute` calls on one session must return the
+///     same binding tables as serial calls.
 
 #include <memory>
 #include <vector>
@@ -15,8 +15,8 @@
 #include "core/dotil.h"
 #include "core/dual_store.h"
 #include "core/runner.h"
+#include "core/session.h"
 #include "gtest/gtest.h"
-#include "sparql/parser.h"
 #include "test_util.h"
 #include "workload/generators.h"
 #include "workload/templates.h"
@@ -26,7 +26,6 @@ namespace dskg::core {
 namespace {
 
 using sparql::BindingTable;
-using sparql::Parser;
 using workload::Workload;
 using workload::WorkloadQuery;
 
@@ -44,9 +43,7 @@ Workload SmallWorkload() {
   int idx = 0;
   for (const char* t : texts) {
     WorkloadQuery wq;
-    auto q = Parser::Parse(t);
-    EXPECT_TRUE(q.ok()) << q.status();
-    wq.query = std::move(q).ValueOrDie();
+    wq.prepared_text = t;
     wq.template_index = idx++;
     w.queries.push_back(std::move(wq));
   }
@@ -74,7 +71,7 @@ void ExpectSameMetrics(const RunMetrics& serial, const RunMetrics& parallel) {
   }
 }
 
-TEST(ParallelEquivalenceTest, RunParallelMatchesRunOnSmallPeopleGraph) {
+TEST(ParallelEquivalenceTest, PooledRunMatchesRunOnSmallPeopleGraph) {
   const Workload w = SmallWorkload();
   ThreadPool pool(4);
 
@@ -94,12 +91,12 @@ TEST(ParallelEquivalenceTest, RunParallelMatchesRunOnSmallPeopleGraph) {
 
   auto sm = serial_runner.Run(w, /*num_batches=*/3);
   ASSERT_TRUE(sm.ok()) << sm.status();
-  auto pm = parallel_runner.RunParallel(w, /*num_batches=*/3, &pool);
+  auto pm = parallel_runner.Run(w, /*num_batches=*/3, &pool);
   ASSERT_TRUE(pm.ok()) << pm.status();
   ExpectSameMetrics(*sm, *pm);
 }
 
-TEST(ParallelEquivalenceTest, RunParallelMatchesRunOnYagoWorkload) {
+TEST(ParallelEquivalenceTest, PooledRunMatchesRunOnYagoWorkload) {
   workload::YagoConfig gen;
   gen.target_triples = 20000;
   rdf::Dataset ds1 = workload::GenerateYago(gen);
@@ -122,21 +119,22 @@ TEST(ParallelEquivalenceTest, RunParallelMatchesRunOnYagoWorkload) {
   auto sm = serial_runner.Run(*w, /*num_batches=*/5);
   ASSERT_TRUE(sm.ok()) << sm.status();
   ThreadPool pool(4);
-  auto pm = parallel_runner.RunParallel(*w, /*num_batches=*/5, &pool);
+  auto pm = parallel_runner.Run(*w, /*num_batches=*/5, &pool);
   ASSERT_TRUE(pm.ok()) << pm.status();
   ExpectSameMetrics(*sm, *pm);
 }
 
-TEST(ParallelEquivalenceTest, ConcurrentProcessReturnsSameBindingTables) {
+TEST(ParallelEquivalenceTest, ConcurrentExecuteReturnsSameBindingTables) {
   rdf::Dataset ds = testing::SmallPeopleGraph();
   DualStoreConfig cfg;
   cfg.graph_capacity_triples = 8;
   DualStore store(&ds, cfg);
+  Session session(&store);
   const Workload w = SmallWorkload();
 
   std::vector<BindingTable> serial(w.queries.size());
   for (size_t i = 0; i < w.queries.size(); ++i) {
-    auto exec = store.Process(w.queries[i].query);
+    auto exec = session.Execute(w.queries[i].prepared_text);
     ASSERT_TRUE(exec.ok()) << exec.status();
     serial[i] = exec->result;
   }
@@ -145,7 +143,7 @@ TEST(ParallelEquivalenceTest, ConcurrentProcessReturnsSameBindingTables) {
   std::vector<BindingTable> parallel(w.queries.size());
   for (int round = 0; round < 4; ++round) {
     pool.ParallelFor(w.queries.size(), [&](size_t i) {
-      auto exec = store.Process(w.queries[i].query);
+      auto exec = session.Execute(w.queries[i].prepared_text);
       ASSERT_TRUE(exec.ok()) << exec.status();
       parallel[i] = exec->result;
     });

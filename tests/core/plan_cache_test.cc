@@ -1,6 +1,6 @@
 // SharedPlanCache tests: one compilation per (text, plan_epoch) across
-// sessions, monotone-epoch invalidation under online updates, parse
-// reuse across epoch moves, LRU bounding, and the Session hook.
+// callers, monotone-epoch invalidation under online updates, parse
+// reuse across epoch moves, LRU bounding, and concurrent callers.
 
 #include "core/plan_cache.h"
 
@@ -14,16 +14,12 @@
 
 #include "core/dual_store.h"
 #include "core/online_store.h"
-#include "core/session.h"
 #include "core/update.h"
-#include "sparql/bindings.h"
 #include "sparql/parser.h"
 #include "test_util.h"
 
 namespace dskg::core {
 namespace {
-
-using sparql::BindingTable;
 
 constexpr const char* kFlagship =
     "SELECT ?p WHERE { ?p bornIn berlin . "
@@ -154,65 +150,6 @@ TEST(SharedPlanCacheTest, ConcurrentCallersAllGetValidPlans) {
   EXPECT_EQ(s.hits + s.misses, static_cast<uint64_t>(kThreads) * 50);
   // Lost prepare races cost duplicate work, never a wrong answer.
   EXPECT_GE(s.misses, 2u);
-}
-
-TEST(SharedPlanCacheTest, SessionsShareOneCompilation) {
-  rdf::Dataset ds = testing::SmallPeopleGraph();
-  DualStore store(&ds, {});
-  SharedPlanCache cache;
-
-  Session alice(&store);
-  Session bob(&store);
-  alice.set_shared_plan_cache(&cache);
-  bob.set_shared_plan_cache(&cache);
-
-  auto a = alice.Execute(kFlagship);
-  ASSERT_TRUE(a.ok());
-  auto b = bob.Execute(kFlagship);
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(BindingTable::SameRows(a->result, b->result));
-
-  // Alice missed (first compile); Bob hit the shared entry.
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // Re-execution within a session stays on the lock-free per-entry fast
-  // path and never consults the shared cache again.
-  auto prepared = alice.Prepare(kFlagship);
-  ASSERT_TRUE(prepared.ok());
-  ASSERT_TRUE(prepared->ExecuteAll().ok());
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // An uncached session still produces identical rows.
-  Session lone(&store);
-  auto c = lone.Execute(kFlagship);
-  ASSERT_TRUE(c.ok());
-  EXPECT_TRUE(BindingTable::SameRows(a->result, c->result));
-}
-
-TEST(SharedPlanCacheTest, SessionRevalidatesThroughSharedCacheOnUpdates) {
-  rdf::Dataset initial = testing::SmallPeopleGraph();
-  OnlineStore store(initial, {});
-  SharedPlanCache cache;
-  Session session(&store);
-  session.set_shared_plan_cache(&cache);
-
-  auto prepared = session.Prepare(kFlagship);
-  ASSERT_TRUE(prepared.ok());
-  auto before = prepared->ExecuteAll();
-  ASSERT_TRUE(before.ok());
-  ASSERT_EQ(before->result.NumRows(), 1u);
-
-  UpdateBatch batch;
-  batch.ops.push_back(UpdateOp::Insert("eve", "bornIn", "berlin"));
-  batch.ops.push_back(UpdateOp::Insert("eve", "advisor", "alice"));
-  ASSERT_TRUE(store.ApplyUpdates(batch).ok());
-
-  auto after = prepared->ExecuteAll();
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->result.NumRows(), 2u);
-  EXPECT_GE(session.stats().replans, 1u);
-  EXPECT_GE(cache.stats().invalidations, 1u);
 }
 
 }  // namespace

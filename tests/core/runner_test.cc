@@ -1,11 +1,15 @@
 // Workload runner tests: batching, metric accumulation, tuning hooks,
-// and averaged repetitions.
+// averaged repetitions, and workload queries whose bound term updates
+// deleted.
 
 #include <gtest/gtest.h>
 
 #include "core/baseline_tuners.h"
 #include "core/dotil.h"
+#include "core/online_store.h"
 #include "core/runner.h"
+#include "core/session.h"
+#include "core/update.h"
 #include "test_util.h"
 #include "workload/generators.h"
 #include "workload/templates.h"
@@ -139,6 +143,114 @@ TEST_F(RunnerTest, UnevenBatchSplit) {
   EXPECT_EQ(m->batches[0].queries.size(), 7u);
   EXPECT_EQ(m->batches[1].queries.size(), 7u);
   EXPECT_EQ(m->batches[2].queries.size(), 6u);
+}
+
+
+// ---- a bound term that updates deleted -------------------------------------
+//
+// Once an update batch deletes the last triple naming a workload query's
+// bound constant, the term leaves the dictionary and `Bind` answers
+// NotFound. The constant must then simply match nothing: the runner
+// executes the query's bound text, and its trace must equal that text's
+// own execution on the same store state.
+
+constexpr const char* kSameCityAdvisors =
+    "SELECT ?p WHERE { ?p bornIn $c . ?p advisor ?a . ?a bornIn $c . }";
+
+workload::Workload SameCityWorkload() {
+  workload::WorkloadQuery wq;
+  wq.prepared_text = kSameCityAdvisors;
+  wq.bindings = {{"c", "berlin"}};
+  workload::Workload w;
+  w.name = "same-city";
+  w.queries.push_back(std::move(wq));
+  return w;
+}
+
+/// Deletes every SmallPeopleGraph triple that names berlin.
+UpdateBatch DeleteBerlin() {
+  UpdateBatch batch;
+  batch.ops.push_back(UpdateOp::Delete("alice", "bornIn", "berlin"));
+  batch.ops.push_back(UpdateOp::Delete("bob", "bornIn", "berlin"));
+  return batch;
+}
+
+/// Checks `trace` against `Session::Execute` of the bound text on `store`
+/// (a `DualStore` or an `OnlineStore`).
+template <typename Store>
+void ExpectTraceEqualsBoundText(Store* store, const QueryTrace& trace) {
+  Session session(store);
+  auto prepared = session.Prepare(kSameCityAdvisors);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  ASSERT_TRUE(prepared->Bind("c", "berlin").IsNotFound())
+      << "berlin is still in the dictionary; the case is not exercised";
+
+  auto bound = workload::BoundQuery(SameCityWorkload().queries[0]);
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  auto want = session.Execute(bound->ToString());
+  ASSERT_TRUE(want.ok()) << want.status();
+  EXPECT_EQ(want->result.NumRows(), 0u);
+  EXPECT_EQ(trace.result_rows, 0u);
+  EXPECT_EQ(trace.route, want->route);
+  EXPECT_EQ(trace.rel_micros, want->rel_micros);
+  EXPECT_EQ(trace.graph_micros, want->graph_micros);
+  EXPECT_EQ(trace.migrate_micros, want->migrate_micros);
+  EXPECT_EQ(trace.total_micros, want->total_micros());
+}
+
+TEST(RunnerDeletedTermTest, OfflineRunExecutesTheBoundText) {
+  rdf::Dataset ds = testing::SmallPeopleGraph();
+  DualStoreConfig cfg;
+  cfg.graph_capacity_triples = ds.num_triples();
+  DualStore store(&ds, cfg);
+  // Both partitions resident: the query takes the graph route.
+  CostMeter load;
+  for (const char* pred : {"bornIn", "advisor"}) {
+    ASSERT_TRUE(store.MigratePartition(ds.dict().Lookup(pred), &load).ok());
+  }
+  auto applied = store.ApplyUpdates(DeleteBerlin());
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  ASSERT_EQ(applied->deleted, 2u);
+
+  WorkloadRunner runner(&store, /*tuner=*/nullptr);
+  auto m = runner.Run(SameCityWorkload(), /*num_batches=*/1);
+  ASSERT_TRUE(m.ok()) << m.status();
+  ASSERT_EQ(m->batches.size(), 1u);
+  ASSERT_EQ(m->batches[0].queries.size(), 1u);
+  EXPECT_EQ(m->batches[0].queries[0].route, Route::kGraphOnly);
+  ExpectTraceEqualsBoundText(&store, m->batches[0].queries[0]);
+}
+
+TEST(RunnerDeletedTermTest, OnlineRunExecutesTheBoundText) {
+  rdf::Dataset ds = testing::SmallPeopleGraph();
+  DualStoreConfig cfg;
+  cfg.graph_capacity_triples = ds.num_triples();
+  OnlineStore store(ds, cfg);
+  ASSERT_TRUE(store
+                  .TuneExclusive([](DualStore* s) {
+                    CostMeter load;
+                    for (const char* pred : {"bornIn", "advisor"}) {
+                      DSKG_RETURN_NOT_OK(s->MigratePartition(
+                          s->dict().Lookup(pred), &load));
+                    }
+                    return Status::OK();
+                  })
+                  .ok());
+  UpdateLog log;
+  log.Append(DeleteBerlin());
+
+  WorkloadRunner runner(/*store=*/nullptr, /*tuner=*/nullptr);
+  OnlineRunOptions opt;
+  opt.num_batches = 1;
+  // No pool: the window's updates apply before its queries run.
+  auto m = runner.RunOnline(&store, SameCityWorkload(), log, opt,
+                            /*pool=*/nullptr);
+  ASSERT_TRUE(m.ok()) << m.status();
+  ASSERT_EQ(m->batches.size(), 1u);
+  EXPECT_EQ(m->batches[0].deleted, 2u);
+  ASSERT_EQ(m->batches[0].queries.size(), 1u);
+  EXPECT_EQ(m->batches[0].queries[0].route, Route::kGraphOnly);
+  ExpectTraceEqualsBoundText(&store, m->batches[0].queries[0]);
 }
 
 }  // namespace

@@ -116,7 +116,9 @@ TEST_F(SessionErrorTest, DirectEnginePathsRefuseUnboundParameters) {
   // the open site as a wildcard or matching nothing.
   auto q = Parser::Parse(kFlagshipParam);
   ASSERT_TRUE(q.ok());
-  auto exec = store_.Process(*q);
+  auto plan = store_.Prepare(*q);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto exec = store_.ExecutePlan(*plan, /*params=*/nullptr);
   ASSERT_FALSE(exec.ok());
   EXPECT_TRUE(exec.status().IsFailedPrecondition());
 
@@ -142,7 +144,7 @@ TEST_F(SessionErrorTest, DirectEnginePathsRefuseUnboundParameters) {
 
 // ---- prepared execution semantics -------------------------------------------
 
-TEST(SessionTest, PreparedBindExecutesLikeOneShotProcess) {
+TEST(SessionTest, PreparedBindExecutesLikeOneShotExecute) {
   rdf::Dataset ds = testing::SmallPeopleGraph();
   DualStore store(&ds, {});
   Session session(&store);
@@ -158,7 +160,7 @@ TEST(SessionTest, PreparedBindExecutesLikeOneShotProcess) {
     const std::string bound_text =
         "SELECT ?p WHERE { ?p bornIn " + std::string(city) +
         " . ?p advisor ?a . ?a bornIn " + std::string(city) + " . }";
-    auto oneshot = store.Process(bound_text);
+    auto oneshot = session.Execute(bound_text);
     ASSERT_TRUE(oneshot.ok()) << oneshot.status();
     ExpectSameExecution(*exec, *oneshot);
   }
@@ -221,7 +223,7 @@ TEST(SessionTest, EvictedPreparedHandleStillExecutes) {
   // The outstanding handle shares the entry and keeps working.
   auto exec = prepared->ExecuteAll();
   ASSERT_TRUE(exec.ok());
-  auto direct = store.Process(
+  auto direct = Session(&store).Execute(
       "SELECT ?p WHERE { ?p bornIn berlin . "
       "?p advisor ?a . ?a bornIn berlin . }");
   ASSERT_TRUE(direct.ok());

@@ -8,6 +8,7 @@
 #include "core/dotil.h"
 #include "core/dual_store.h"
 #include "core/runner.h"
+#include "core/session.h"
 #include "test_util.h"
 #include "workload/generators.h"
 #include "workload/templates.h"
@@ -66,15 +67,20 @@ TEST_P(CrossEngineEquivalenceTest, AllQueriesAgreeAcrossEngines) {
     ASSERT_TRUE(dual.MigratePartition(part.predicate, &meter).ok());
   }
 
+  core::Session rel_session(&rel);
+  core::Session dual_session(&dual);
   for (const auto& wq : w->queries) {
-    auto a = rel.Process(wq.query);
-    ASSERT_TRUE(a.ok()) << a.status() << "\n" << wq.query.ToString();
+    auto bound = workload::BoundQuery(wq);
+    ASSERT_TRUE(bound.ok()) << bound.status();
+    const std::string text = bound->ToString();
+    auto a = rel_session.Execute(text);
+    ASSERT_TRUE(a.ok()) << a.status() << "\n" << text;
     EXPECT_EQ(a->route, core::Route::kRelationalOnly);
-    auto b = dual.Process(wq.query);
-    ASSERT_TRUE(b.ok()) << b.status() << "\n" << wq.query.ToString();
+    auto b = dual_session.Execute(text);
+    ASSERT_TRUE(b.ok()) << b.status() << "\n" << text;
     EXPECT_TRUE(
         sparql::BindingTable::SameRows(a->result, b->result))
-        << wq.query.ToString() << "\nrel rows: " << a->result.NumRows()
+        << text << "\nrel rows: " << a->result.NumRows()
         << " dual rows: " << b->result.NumRows()
         << " route: " << core::RouteName(b->route);
   }

@@ -7,6 +7,7 @@
 #include "core/dotil.h"
 #include "core/dual_store.h"
 #include "core/runner.h"
+#include "core/session.h"
 #include "workload/generators.h"
 #include "workload/templates.h"
 
@@ -26,7 +27,7 @@ TEST(Smoke, FlagshipQueryAgreesAcrossVariants) {
   core::DualStoreConfig rdb_only;
   rdb_only.use_graph = false;
   core::DualStore only(&ds, rdb_only);
-  auto r1 = only.Process(kQuery);
+  auto r1 = core::Session(&only).Execute(kQuery);
   ASSERT_TRUE(r1.ok()) << r1.status();
   EXPECT_EQ(r1->route, core::Route::kRelationalOnly);
   EXPECT_GT(r1->result.NumRows(), 0u);
@@ -41,7 +42,7 @@ TEST(Smoke, FlagshipQueryAgreesAcrossVariants) {
   ASSERT_TRUE(
       dual.MigratePartition(ds.dict().Lookup("y:hasAcademicAdvisor"), &meter)
           .ok());
-  auto r2 = dual.Process(kQuery);
+  auto r2 = core::Session(&dual).Execute(kQuery);
   ASSERT_TRUE(r2.ok()) << r2.status();
   EXPECT_EQ(r2->route, core::Route::kGraphOnly);
   EXPECT_TRUE(sparql::BindingTable::SameRows(r1->result, r2->result));

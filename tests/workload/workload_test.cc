@@ -1,5 +1,6 @@
 // Workload construction tests: generators' macro statistics, template
-// instantiation/mutations, ordered vs random versions, batch splitting.
+// instantiation/mutations, bound query forms, ordered vs random versions,
+// batch splitting.
 
 #include <gtest/gtest.h>
 
@@ -187,15 +188,21 @@ TEST_F(WorkloadBuilderTest, MutationsChangeConstantsNotStructure) {
   opt.ordered = true;
   auto w = builder.Build("yago", YagoTemplates(), opt);
   ASSERT_TRUE(w.ok());
-  // All versions of template 0 share pattern count and predicates.
-  const auto& base = w->queries[0].query;
+  // All versions of template 0 share their text, pattern count and
+  // predicates; only the bound constant moves.
+  auto base = BoundQuery(w->queries[0]);
+  ASSERT_TRUE(base.ok()) << base.status();
   std::set<std::string> constants_seen;
   for (int v = 0; v < 5; ++v) {
-    const auto& q = w->queries[static_cast<size_t>(v)].query;
-    EXPECT_EQ(q.patterns.size(), base.patterns.size());
-    EXPECT_EQ(q.ConstantPredicates(), base.ConstantPredicates());
+    const WorkloadQuery& wq = w->queries[static_cast<size_t>(v)];
+    EXPECT_EQ(wq.prepared_text, w->queries[0].prepared_text);
+    EXPECT_EQ(wq.mutation, v);
+    auto q = BoundQuery(wq);
+    ASSERT_TRUE(q.ok()) << q.status();
+    EXPECT_EQ(q->patterns.size(), base->patterns.size());
+    EXPECT_EQ(q->ConstantPredicates(), base->ConstantPredicates());
     // The slot constant is the prize in the last pattern.
-    constants_seen.insert(q.patterns.back().object.text);
+    constants_seen.insert(q->patterns.back().object.text);
   }
   EXPECT_GT(constants_seen.size(), 1u);  // mutations vary the constant
 }
@@ -205,29 +212,99 @@ TEST_F(WorkloadBuilderTest, EveryYagoQueryHasComplexSubquery) {
   auto w = builder.Build("yago", YagoTemplates(), WorkloadOptions{});
   ASSERT_TRUE(w.ok());
   for (const auto& wq : w->queries) {
-    auto split = core::ComplexSubqueryIdentifier::Identify(wq.query);
-    EXPECT_TRUE(split.HasComplexSubquery()) << wq.query.ToString();
+    auto q = BoundQuery(wq);
+    ASSERT_TRUE(q.ok()) << q.status();
+    auto split = core::ComplexSubqueryIdentifier::Identify(*q);
+    EXPECT_TRUE(split.HasComplexSubquery()) << q->ToString();
   }
 }
 
 TEST_F(WorkloadBuilderTest, RejectsUnknownPredicate) {
   WorkloadBuilder builder(&ds_);
   QueryTemplate bad{"bad",
-                    "SELECT ?a WHERE { ?a nosuch:pred ?b . ?b q ?a . }",
+                    "SELECT ?a WHERE { ?a nosuch:pred $b . ?a q ?c . }",
                     {{"b", "nosuch:pred", true}}};
   EXPECT_TRUE(builder.Build("x", {bad}, WorkloadOptions{})
                   .status()
                   .IsInvalidArgument());
 }
 
-TEST_F(WorkloadBuilderTest, RejectsProjectedSlotVariable) {
+TEST_F(WorkloadBuilderTest, RejectsSlotThatIsNotAParameter) {
   WorkloadBuilder builder(&ds_);
-  QueryTemplate bad{"bad",
-                    "SELECT ?b WHERE { ?a y:wasBornIn ?b . }",
-                    {{"b", "y:wasBornIn", true}}};
+  // A projected variable, an unprojected variable, and a name the
+  // skeleton does not mention: slots fill `$params` only.
+  for (const char* text : {"SELECT ?b WHERE { ?a y:wasBornIn ?b . }",
+                           "SELECT ?a WHERE { ?a y:wasBornIn ?b . }",
+                           "SELECT ?a WHERE { ?a y:wasBornIn ?c . }"}) {
+    QueryTemplate bad{"bad", text, {{"b", "y:wasBornIn", true}}};
+    EXPECT_TRUE(builder.Build("x", {bad}, WorkloadOptions{})
+                    .status()
+                    .IsInvalidArgument())
+        << text;
+  }
+}
+
+TEST_F(WorkloadBuilderTest, RejectsParameterWithoutSlot) {
+  WorkloadBuilder builder(&ds_);
+  QueryTemplate bad{"bad", "SELECT ?a WHERE { ?a y:wasBornIn $city . }", {}};
   EXPECT_TRUE(builder.Build("x", {bad}, WorkloadOptions{})
                   .status()
                   .IsInvalidArgument());
+}
+
+TEST(BoundQueryTest, SubstitutesEveryParameterOccurrence) {
+  WorkloadQuery wq;
+  wq.prepared_text =
+      "SELECT ?p WHERE { ?p bornIn $c . ?p advisor ?a . ?a bornIn $c . }";
+  wq.bindings = {{"c", "berlin"}};
+  auto q = BoundQuery(wq);
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_TRUE(q->Parameters().empty());
+  EXPECT_EQ(q->ToString(),
+            "SELECT ?p WHERE { ?p bornIn berlin . ?p advisor ?a . "
+            "?a bornIn berlin . }");
+}
+
+TEST(BoundQueryTest, MissingBindingAndBadTextFail) {
+  WorkloadQuery unbound;
+  unbound.prepared_text = "SELECT ?p WHERE { ?p bornIn $c . }";
+  EXPECT_TRUE(BoundQuery(unbound).status().IsInvalidArgument());
+  WorkloadQuery garbled;
+  garbled.prepared_text = "SELEC ?p WHERE { }";
+  EXPECT_TRUE(BoundQuery(garbled).status().IsParseError());
+}
+
+// Every built query's bound form prints as text that parses back to the
+// same query: the runner re-executes a query whose bound term updates
+// deleted as exactly that text.
+TEST_P(TemplateCatalogTest, BoundQueriesRoundTripThroughText) {
+  const auto& [name, factory] = GetParam();
+  rdf::Dataset ds;
+  const std::string catalog = name;
+  if (catalog == "yago") {
+    YagoConfig cfg;
+    cfg.target_triples = 12000;
+    ds = GenerateYago(cfg);
+  } else if (catalog == "bio2rdf") {
+    Bio2RdfConfig cfg;
+    cfg.target_triples = 14000;
+    ds = GenerateBio2Rdf(cfg);
+  } else {
+    WatDivConfig cfg;
+    cfg.target_triples = 12000;
+    ds = GenerateWatDiv(cfg);
+  }
+  WorkloadBuilder builder(&ds);
+  auto w = builder.Build(name, factory(), WorkloadOptions{});
+  ASSERT_TRUE(w.ok()) << w.status();
+  for (const WorkloadQuery& wq : w->queries) {
+    auto q = BoundQuery(wq);
+    ASSERT_TRUE(q.ok()) << q.status();
+    EXPECT_TRUE(q->Parameters().empty()) << q->ToString();
+    auto reparsed = sparql::Parser::Parse(q->ToString());
+    ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << q->ToString();
+    EXPECT_EQ(*reparsed, *q) << q->ToString();
+  }
 }
 
 TEST(WorkloadSplit, BatchesCoverAllQueriesInOrder) {
@@ -238,13 +315,16 @@ TEST(WorkloadSplit, BatchesCoverAllQueriesInOrder) {
     q.template_index = i;
     w.queries.push_back(q);
   }
-  auto batches = w.SplitBatches(5);
+  auto batches = w.BatchRanges(5);
   ASSERT_EQ(batches.size(), 5u);
-  EXPECT_EQ(batches[0].size(), 5u);  // 23 = 5+5+5+4+4
-  EXPECT_EQ(batches[3].size(), 4u);
+  EXPECT_EQ(batches[0].second - batches[0].first, 5u);  // 23 = 5+5+5+4+4
+  EXPECT_EQ(batches[3].second - batches[3].first, 4u);
   int expect = 0;
-  for (const auto& b : batches) {
-    for (const auto& q : b) EXPECT_EQ(q.template_index, expect++);
+  for (const auto& [begin, end] : batches) {
+    EXPECT_EQ(begin, static_cast<size_t>(expect));  // contiguous
+    for (size_t i = begin; i < end; ++i) {
+      EXPECT_EQ(w.queries[i].template_index, expect++);
+    }
   }
   EXPECT_EQ(expect, 23);
 }
@@ -305,34 +385,10 @@ TEST(UpdateStreamSplit, PerShardStreamsPartitionTheFullStream) {
 
 TEST(WorkloadSplit, DegenerateCases) {
   Workload w;
-  EXPECT_TRUE(w.SplitBatches(0).empty());
-  auto batches = w.SplitBatches(3);
+  EXPECT_TRUE(w.BatchRanges(0).empty());
+  auto batches = w.BatchRanges(3);
   ASSERT_EQ(batches.size(), 3u);
-  for (const auto& b : batches) EXPECT_TRUE(b.empty());
-}
-
-TEST(WorkloadSplit, BatchRangesAgreeWithSplitBatches) {
-  for (int total : {0, 1, 4, 5, 23, 100}) {
-    Workload w;
-    for (int i = 0; i < total; ++i) {
-      WorkloadQuery q;
-      q.template_index = i;
-      w.queries.push_back(q);
-    }
-    for (int n : {1, 3, 5, 7}) {
-      const auto batches = w.SplitBatches(n);
-      const auto ranges = w.BatchRanges(n);
-      ASSERT_EQ(batches.size(), ranges.size()) << total << "/" << n;
-      for (size_t b = 0; b < batches.size(); ++b) {
-        const auto [begin, end] = ranges[b];
-        ASSERT_EQ(batches[b].size(), end - begin) << total << "/" << n;
-        for (size_t i = 0; i < batches[b].size(); ++i) {
-          EXPECT_EQ(batches[b][i].template_index,
-                    w.queries[begin + i].template_index);
-        }
-      }
-    }
-  }
+  for (const auto& [begin, end] : batches) EXPECT_EQ(begin, end);
 }
 
 }  // namespace
