@@ -1,14 +1,15 @@
 // Telemetry overhead guard: the wall-clock cost of the instrumented hot
 // path must stay negligible. Runs the flagship complex query through a
-// Session with the global registry enabled and disabled, interleaved in
-// A/B rounds so CPU-frequency drift and cache warmth hit both modes
-// equally, and compares the *best* round per mode (min-of-reps is the
-// standard noise-robust estimator for "how fast can this go").
+// Session with the global registry enabled and disabled in many short
+// on/off pairs. Each pair alternates which mode runs first, so CPU
+// steal, frequency drift and cache warmth hit both modes equally, and
+// the guard reads the median of the per-pair enabled/disabled ratios: a
+// burst of noise spoils a few pairs, not the median of many.
 //
-// Exit status is the CI contract: non-zero when the enabled/disabled
-// ratio exceeds DSKG_TELEM_OVERHEAD_MAX (default 1.05, i.e. <= 5%
-// overhead). Wall-clock numbers are machine-dependent as usual; the
-// *ratio* is what the guard pins down.
+// Exit status is the CI contract: non-zero when the median ratio
+// exceeds DSKG_TELEM_OVERHEAD_MAX (default 1.05, i.e. <= 5% overhead).
+// Wall-clock numbers are machine-dependent as usual; the *ratio* is
+// what the guard pins down.
 //
 // Run with `--json out.json` for the machine-readable record.
 
@@ -16,7 +17,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -40,8 +40,10 @@ double MaxRatio() {
   return v > 1.0 ? v : 1.05;
 }
 
-/// Milliseconds to execute the flagship `iters` times on `session`.
-double RunRound(core::Session* session, int iters) {
+/// Milliseconds to execute the flagship `iters` times on `session` with
+/// the registry enabled or disabled.
+double RunLeg(core::Session* session, bool enabled, int iters) {
+  telemetry::MetricsRegistry::Global().set_enabled(enabled);
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
   for (int i = 0; i < iters; ++i) {
@@ -56,6 +58,12 @@ double RunRound(core::Session* session, int iters) {
       .count();
 }
 
+/// The q-quantile of `v` by nearest rank (sorts a copy).
+double Quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  return v[static_cast<size_t>(q * static_cast<double>(v.size() - 1) + 0.5)];
+}
+
 int Main(int argc, char** argv) {
   JsonReporter json(argc, argv, "bench_telemetry_overhead");
 
@@ -68,44 +76,48 @@ int Main(int argc, char** argv) {
   auto& reg = telemetry::MetricsRegistry::Global();
   const bool was_enabled = reg.enabled();
 
-  // Sized so one round is long enough to time reliably (~tens of ms)
-  // but a full A/B run stays in CI-smoke territory.
-  const int iters = 20;
-  const int rounds = 5;
+  // Short legs (a few ms each) so one pair sees one machine state; an
+  // odd number of pairs gives the median a single middle pair.
+  const int iters = 4;
+  const int pairs = 101;
 
   // Warm both modes once (plan cache, allocator, branch predictors).
-  reg.set_enabled(true);
-  RunRound(&session, iters);
-  reg.set_enabled(false);
-  RunRound(&session, iters);
+  RunLeg(&session, true, iters);
+  RunLeg(&session, false, iters);
 
-  double best_on = std::numeric_limits<double>::infinity();
-  double best_off = std::numeric_limits<double>::infinity();
-  std::printf("%-8s %14s %14s\n", "round", "enabled_ms", "disabled_ms");
-  Rule();
-  for (int r = 0; r < rounds; ++r) {
-    reg.set_enabled(true);
-    const double on = RunRound(&session, iters);
-    reg.set_enabled(false);
-    const double off = RunRound(&session, iters);
-    best_on = std::min(best_on, on);
-    best_off = std::min(best_off, off);
-    std::printf("%-8d %14.3f %14.3f\n", r, on, off);
-    json.Row("rounds", {{"round", r},
-                        {"enabled_ms", on},
-                        {"disabled_ms", off}});
+  std::vector<double> on_ms, off_ms, ratios;
+  for (int p = 0; p < pairs; ++p) {
+    double on = 0, off = 0;
+    if (p % 2 == 0) {
+      on = RunLeg(&session, true, iters);
+      off = RunLeg(&session, false, iters);
+    } else {
+      off = RunLeg(&session, false, iters);
+      on = RunLeg(&session, true, iters);
+    }
+    on_ms.push_back(on);
+    off_ms.push_back(off);
+    ratios.push_back(off > 0 ? on / off : 1.0);
   }
   reg.set_enabled(was_enabled);
 
-  const double ratio = best_off > 0 ? best_on / best_off : 1.0;
+  const double ratio = Quantile(ratios, 0.5);
   const double limit = MaxRatio();
+  std::printf("%d on/off pairs of %d flagship executions per leg\n", pairs,
+              iters);
   Rule();
-  std::printf("best enabled  %10.3f ms\n", best_on);
-  std::printf("best disabled %10.3f ms\n", best_off);
-  std::printf("ratio         %10.4f   (limit %.2f)\n", ratio, limit);
-  json.Row("summary", {{"best_enabled_ms", best_on},
-                       {"best_disabled_ms", best_off},
+  std::printf("median enabled leg  %10.3f ms\n", Quantile(on_ms, 0.5));
+  std::printf("median disabled leg %10.3f ms\n", Quantile(off_ms, 0.5));
+  std::printf("pair ratio p25/p75  %10.4f / %.4f\n", Quantile(ratios, 0.25),
+              Quantile(ratios, 0.75));
+  std::printf("median pair ratio   %10.4f   (limit %.2f)\n", ratio, limit);
+  json.Row("summary", {{"pairs", pairs},
+                       {"iters_per_leg", iters},
+                       {"median_enabled_ms", Quantile(on_ms, 0.5)},
+                       {"median_disabled_ms", Quantile(off_ms, 0.5)},
+                       {"ratio_p25", Quantile(ratios, 0.25)},
                        {"ratio", ratio},
+                       {"ratio_p75", Quantile(ratios, 0.75)},
                        {"limit", limit}});
 
   if (ratio > limit) {

@@ -5,10 +5,12 @@ Usage: check_telemetry_schema.py RECORD.json [--base session|server|none]
            [--require NAME ...]
        check_telemetry_schema.py --prometheus DUMP.txt [--require NAME ...]
 
---base picks which front end's baseline metric set is demanded:
-"session" (default, the core::Session surface) or "server" (the network
-serving tier, which executes plans without a Session). --prometheus mode
-checks only --require names plus histogram consistency.
+--base picks which baseline metric set is demanded: "session" (default,
+the core::Session surface every query runs through) or "server" (the
+network serving tier, which runs its requests through one core::Session,
+so it demands the session counters as well as the server.* surface).
+--prometheus mode checks only --require names plus histogram
+consistency.
 
 Every bench record carries the global registry's DumpJson() under a
 top-level "telemetry" key (bench_util.h appends it at flush time). This
@@ -18,7 +20,7 @@ rot:
   * the block exists and has the five sections (counters, gauges,
     histograms, slow_queries, spans);
   * a baseline set of metric names every query-serving run must emit is
-    present (plan-cache counters, per-route counters/histograms);
+    present (session plan-cache counters, per-route counters/histograms);
   * additional required names can be demanded per bench with --require
     (e.g. the online bench must ship per-shard applier histograms). A
     trailing ".*" makes the requirement a prefix wildcard: --require
@@ -42,8 +44,9 @@ import sys
 
 # Metrics any run that served at least one query must have registered,
 # keyed by which front end drove the queries (--base). The session base
-# is the default; the network server executes plans directly (no
-# core::Session), so serving runs check the server surface instead.
+# is the default; the network server runs every request through one
+# core::Session, so serving runs check the server surface on top of the
+# Session's counters.
 ROUTE_COUNTERS = [
     "query.route.relational",
     "query.route.graph",
@@ -66,10 +69,11 @@ BASES = {
             "server.requests.rejected",
             "server.responses",
             "server.batches",
-            "plan_cache.shared.hits",
-            "plan_cache.shared.misses",
+            "session.prepares",
+            "session.cache_hits",
+            "session.executions",
         ],
-        ["server.request_us", "server.batch_size"],
+        ["server.request_us", "server.batch_size", "session.execute_us"],
     ),
     "none": ([], []),
 }

@@ -167,6 +167,17 @@ void TraceSink::Clear() {
 // ---------------------------------------------------------------------------
 // SlowQueryLog
 
+namespace {
+thread_local std::string_view tls_request_label;
+}  // namespace
+
+RequestLabelScope::RequestLabelScope(std::string_view label)
+    : prev_(tls_request_label) {
+  tls_request_label = label;
+}
+
+RequestLabelScope::~RequestLabelScope() { tls_request_label = prev_; }
+
 void SlowQueryLog::MaybeRecord(std::string_view text, const char* route,
                                double wall_ms) {
   const double threshold = threshold_ms();
@@ -176,7 +187,11 @@ void SlowQueryLog::MaybeRecord(std::string_view text, const char* route,
   e.seq = seq;
   e.wall_ms = wall_ms;
   e.route = route;
-  e.text = std::string(text.substr(0, kMaxText));
+  if (!tls_request_label.empty()) {
+    e.text.append(tls_request_label).append(1, ' ');
+  }
+  e.text.append(text);
+  e.text.resize(std::min(e.text.size(), kMaxText));
   std::lock_guard<std::mutex> lock(mu_);
   ring_.push_back(std::move(e));
   while (ring_.size() > kCapacity) ring_.pop_front();

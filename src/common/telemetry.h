@@ -18,8 +18,8 @@
 ///     padded stripes picked by a per-thread index, so concurrent writers
 ///     never contend on one cache line; `value()` folds the stripes.
 ///     A component that needs its *own* view of a process-wide counter
-///     (e.g. per-`Session` stats) allocates a dedicated `Cell` — its
-///     private source of truth, still folded into the global total.
+///     (e.g. per-`Session` stats) holds a `LocalCount` by value: its
+///     private exact count, which also adds to the global total.
 ///   * `Histogram` buckets are log-spaced (4 sub-buckets per octave,
 ///     <= 25% relative bucket width) with striped atomic bucket arrays;
 ///     `Quantile()` merges on read and returns an upper bound of the
@@ -31,7 +31,9 @@
 /// records its wall-clock duration into a histogram and, when the ring-
 /// buffer `TraceSink` is enabled, appends a `{name, start, duration,
 /// thread}` span. `SlowQueryLog` keeps the last N queries whose wall
-/// clock exceeded a configurable threshold.
+/// clock exceeded a configurable threshold; a `RequestLabelScope` tags
+/// the entries one thread records (the server labels each wire request
+/// with its connection).
 ///
 /// Export is two-format: `DumpJson()` (nested, machine-readable — the
 /// bench harness embeds it in every `--json` record and
@@ -41,11 +43,11 @@
 ///
 /// Overhead: a disabled registry (`set_enabled(false)`, or env
 /// `DSKG_TELEMETRY=0`) reduces every `TraceScope`/`Record` to a relaxed
-/// load and a branch. Counters stay live even when disabled — they are
-/// the single source of truth behind compatibility views like
-/// `Session::stats()`, which must keep counting either way. CI guards
-/// the enabled-mode cost: instrumented flagship wall-clock must stay
-/// within 1.05x of the uninstrumented run.
+/// load and a branch. Counters and `LocalCount`s stay live even when
+/// disabled — they back views like `Session::stats()`, which must keep
+/// counting either way. CI guards the enabled-mode cost: the median
+/// per-pair ratio of instrumented to uninstrumented flagship wall-clock
+/// must stay within 1.05.
 
 #include <array>
 #include <atomic>
@@ -68,17 +70,6 @@ size_t ThreadStripeIndex();
 /// A named monotone counter, striped on write, merged on read.
 class Counter {
  public:
-  /// One cache-line-padded write slot. `Add`/`value` are wait-free.
-  class Cell {
-   public:
-    void Add(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-    uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-    void Reset() { v_.store(0, std::memory_order_relaxed); }
-
-   private:
-    alignas(64) std::atomic<uint64_t> v_{0};
-  };
-
   explicit Counter(std::string name) : name_(std::move(name)) {}
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
@@ -88,42 +79,53 @@ class Counter {
   /// Adds `n` to this thread's stripe. Wait-free, no contention across
   /// threads with distinct stripe indexes.
   void Add(uint64_t n = 1) {
-    stripes_[ThreadStripeIndex() % kStripes].Add(n);
+    stripes_[ThreadStripeIndex() % kStripes].v.fetch_add(
+        n, std::memory_order_relaxed);
   }
 
-  /// A dedicated write cell owned by one component (folded into
-  /// `value()` like every stripe). The cell lives as long as the
-  /// counter; a component reading only its own cells gets an exact
-  /// private view with no global interference.
-  Cell* NewCell() {
-    std::lock_guard<std::mutex> lock(mu_);
-    cells_.emplace_back();
-    return &cells_.back();
-  }
-
-  /// The merged total across all stripes and dedicated cells.
+  /// The merged total across all stripes. Wait-free.
   uint64_t value() const {
     uint64_t total = 0;
-    for (const Cell& c : stripes_) total += c.value();
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const Cell& c : cells_) total += c.value();
+    for (const Stripe& s : stripes_) {
+      total += s.v.load(std::memory_order_relaxed);
+    }
     return total;
   }
 
-  /// Zeroes every stripe and cell. Not synchronized with writers.
+  /// Zeroes every stripe. Not synchronized with writers.
   void Reset() {
-    for (Cell& c : stripes_) c.Reset();
-    std::lock_guard<std::mutex> lock(mu_);
-    for (Cell& c : cells_) c.Reset();
+    for (Stripe& s : stripes_) s.v.store(0, std::memory_order_relaxed);
   }
 
  private:
   static constexpr size_t kStripes = 16;
+  struct Stripe {
+    alignas(64) std::atomic<uint64_t> v{0};
+  };
 
   std::string name_;
-  std::array<Cell, kStripes> stripes_;
-  mutable std::mutex mu_;   // guards `cells_` growth/iteration
-  std::deque<Cell> cells_;  // stable addresses
+  std::array<Stripe, kStripes> stripes_;
+};
+
+/// One component's exact count of an event that also feeds a process-
+/// wide `Counter`: `Add` bumps both, `value()` reads only this count.
+/// Owned by value, so a component leaves nothing behind in the registry
+/// when it is destroyed.
+class LocalCount {
+ public:
+  explicit LocalCount(Counter* total) : total_(total) {}
+  LocalCount(const LocalCount&) = delete;
+  LocalCount& operator=(const LocalCount&) = delete;
+
+  void Add() {
+    own_.fetch_add(1, std::memory_order_relaxed);
+    total_->Add();
+  }
+  uint64_t value() const { return own_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> own_{0};
+  Counter* total_;
 };
 
 /// A named instantaneous value (queue depth, drift fraction, ...).
@@ -328,7 +330,8 @@ class SlowQueryLog {
   }
   bool enabled() const { return threshold_ms() > 0; }
 
-  /// Records `text` when `wall_ms` is at or above the threshold.
+  /// Records `text` when `wall_ms` is at or above the threshold,
+  /// prefixed with this thread's request label when one is set.
   void MaybeRecord(std::string_view text, const char* route, double wall_ms);
 
   /// Slow queries seen since construction (survives ring eviction).
@@ -344,6 +347,21 @@ class SlowQueryLog {
   std::atomic<uint64_t> total_{0};
   mutable std::mutex mu_;
   std::deque<Entry> ring_;
+};
+
+/// Labels the slow-query entries this thread records while the scope
+/// lives: an entry's text becomes `<label> <query text>`. Scopes nest
+/// (the innermost wins) and `label` must outlive the scope; a thread
+/// with no scope records unlabelled entries.
+class RequestLabelScope {
+ public:
+  explicit RequestLabelScope(std::string_view label);
+  ~RequestLabelScope();
+  RequestLabelScope(const RequestLabelScope&) = delete;
+  RequestLabelScope& operator=(const RequestLabelScope&) = delete;
+
+ private:
+  std::string_view prev_;
 };
 
 /// The registry: named metric instances with stable addresses, a trace
@@ -371,7 +389,7 @@ class MetricsRegistry {
 
   /// Gates histogram/span/slow-log recording at the instrumentation
   /// sites (they check before touching a clock). Counters are NOT gated:
-  /// they back compatibility views that must keep counting.
+  /// the `LocalCount`s behind per-component stats add to them.
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);

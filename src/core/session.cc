@@ -11,44 +11,60 @@ using session_internal::Snapshot;
 
 namespace {
 
-// Session-layer span histograms, resolved once against the global
-// registry (the lookup takes a lock; the pointers are stable).
-struct SessionHists {
+// Session-layer metrics, resolved once against the global registry (the
+// lookup takes a lock; the pointers are stable).
+struct SessionMetrics {
   telemetry::Histogram* prepare_us;
   telemetry::Histogram* plan_us;
   telemetry::Histogram* bind_us;
   telemetry::Histogram* execute_us;
   telemetry::Histogram* cursor_next_us;
+  telemetry::Counter* prepares;
+  telemetry::Counter* cache_hits;
+  telemetry::Counter* executions;
+  telemetry::Counter* replans;
+  telemetry::Counter* evictions;
 };
 
-const SessionHists& Hists() {
-  static const SessionHists h = [] {
+const SessionMetrics& Metrics() {
+  static const SessionMetrics m = [] {
     auto& reg = telemetry::MetricsRegistry::Global();
-    return SessionHists{reg.histogram("session.prepare_us"),
-                        reg.histogram("session.plan_us"),
-                        reg.histogram("session.bind_us"),
-                        reg.histogram("session.execute_us"),
-                        reg.histogram("session.cursor_next_us")};
+    return SessionMetrics{reg.histogram("session.prepare_us"),
+                          reg.histogram("session.plan_us"),
+                          reg.histogram("session.bind_us"),
+                          reg.histogram("session.execute_us"),
+                          reg.histogram("session.cursor_next_us"),
+                          reg.counter("session.prepares"),
+                          reg.counter("session.cache_hits"),
+                          reg.counter("session.executions"),
+                          reg.counter("session.replans"),
+                          reg.counter("session.evictions")};
   }();
-  return h;
+  return m;
 }
 
 }  // namespace
 
-Session::StatCells::StatCells() {
-  auto& reg = telemetry::MetricsRegistry::Global();
-  prepares = reg.counter("session.prepares")->NewCell();
-  cache_hits = reg.counter("session.cache_hits")->NewCell();
-  executions = reg.counter("session.executions")->NewCell();
-  replans = reg.counter("session.replans")->NewCell();
-  evictions = reg.counter("session.evictions")->NewCell();
+Session::Counts::Counts()
+    : prepares(Metrics().prepares),
+      cache_hits(Metrics().cache_hits),
+      executions(Metrics().executions),
+      replans(Metrics().replans),
+      evictions(Metrics().evictions) {}
+
+void session_internal::CacheEntry::InstallIfNewer(
+    std::shared_ptr<const PreparedPlan> fresh) {
+  std::lock_guard<std::mutex> lock(mu);
+  if (plan == nullptr || plan->plan_epoch < fresh->plan_epoch) {
+    plan = std::move(fresh);
+  }
 }
 
 // ---- Cursor -----------------------------------------------------------------
 
 Status Cursor::Next(sparql::BindingTable* chunk, size_t max_rows,
                     bool* done) {
-  telemetry::TraceScope span(Hists().cursor_next_us, "session.cursor_next");
+  telemetry::TraceScope span(Metrics().cursor_next_us, "session.cursor_next");
   DualStore::SnapshotScope scope(view_);
   return impl_.Next(chunk, max_rows, done);
 }
@@ -73,7 +89,7 @@ PreparedQuery::PreparedQuery(Session* session,
       bindings_(entry_->params.size()) {}
 
 Status PreparedQuery::Bind(std::string_view param, std::string_view term) {
-  telemetry::TraceScope span(Hists().bind_us, "session.bind");
+  telemetry::TraceScope span(Metrics().bind_us, "session.bind");
   size_t idx = entry_->params.size();
   for (size_t i = 0; i < entry_->params.size(); ++i) {
     if (entry_->params[i] == param) {
@@ -96,10 +112,6 @@ Status PreparedQuery::Bind(std::string_view param, std::string_view term) {
   }
   bindings_[idx] = {true, std::string(term), id, snap.store->plan_epoch()};
   return Status::OK();
-}
-
-void PreparedQuery::ClearBindings() {
-  bindings_.assign(entry_->params.size(), Binding{});
 }
 
 Result<std::vector<rdf::TermId>> PreparedQuery::ResolveForExecution(
@@ -147,7 +159,7 @@ Result<QueryExecution> PreparedQuery::ExecuteAll() {
       *plan, values.empty() ? nullptr : values.data());
   if (telem) {
     const double dur_us = reg.NowMicros() - start_us;
-    Hists().execute_us->Record(dur_us);
+    Metrics().execute_us->Record(dur_us);
     if (reg.traces().enabled()) {
       reg.traces().Record("session.execute", start_us, dur_us);
     }
@@ -194,7 +206,7 @@ Snapshot Session::Pin() const {
 }
 
 Result<PreparedQuery> Session::Prepare(std::string_view text) {
-  telemetry::TraceScope span(Hists().prepare_us, "session.prepare");
+  telemetry::TraceScope span(Metrics().prepare_us, "session.prepare");
   std::shared_ptr<CacheEntry> entry;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
@@ -206,7 +218,7 @@ Result<PreparedQuery> Session::Prepare(std::string_view text) {
     }
   }
   if (entry != nullptr) {
-    cells_.cache_hits->Add();
+    counts_.cache_hits.Add();
     return PreparedQuery(this, std::move(entry));
   }
 
@@ -228,7 +240,7 @@ Result<PreparedQuery> Session::Prepare(std::string_view text) {
       EvictOverflowLocked();
     }
   }
-  cells_.prepares->Add();
+  counts_.prepares.Add();
   return PreparedQuery(this, std::move(entry));
 }
 
@@ -237,7 +249,7 @@ void Session::EvictOverflowLocked() {
   while (cache_.size() > plan_cache_capacity_) {
     cache_.erase(lru_.back());
     lru_.pop_back();
-    cells_.evictions->Add();
+    counts_.evictions.Add();
   }
 }
 
@@ -259,23 +271,20 @@ Result<std::shared_ptr<const PreparedPlan>> Session::PlanFor(
   {
     std::lock_guard<std::mutex> lock(entry->mu);
     if (entry->plan != nullptr && entry->plan->plan_epoch == epoch) {
-      cells_.executions->Add();
+      counts_.executions.Add();
       return entry->plan;
     }
     replanned = entry->plan != nullptr;
   }
   // Planning proper, on first use of the text or after the epoch moved
   // (`Session::Prepare` only parses).
-  telemetry::TraceScope span(Hists().plan_us, "session.plan");
+  telemetry::TraceScope span(Metrics().plan_us, "session.plan");
   DSKG_ASSIGN_OR_RETURN(PreparedPlan plan, store.Prepare(entry->query));
-  auto shared = std::make_shared<const PreparedPlan>(std::move(plan));
-  {
-    std::lock_guard<std::mutex> lock(entry->mu);
-    entry->plan = shared;
-  }
-  cells_.executions->Add();
-  if (replanned) cells_.replans->Add();
-  return shared;
+  auto fresh = std::make_shared<const PreparedPlan>(std::move(plan));
+  entry->InstallIfNewer(fresh);
+  counts_.executions.Add();
+  if (replanned) counts_.replans.Add();
+  return fresh;
 }
 
 Result<QueryExecution> Session::Execute(std::string_view text) {
@@ -308,19 +317,13 @@ std::future<Result<QueryExecution>> Session::SubmitAsync(
       });
 }
 
-void Session::ClearPlanCache() {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  cache_.clear();
-  lru_.clear();
-}
-
 Session::Stats Session::stats() const {
   Stats s;
-  s.prepares = cells_.prepares->value();
-  s.cache_hits = cells_.cache_hits->value();
-  s.executions = cells_.executions->value();
-  s.replans = cells_.replans->value();
-  s.evictions = cells_.evictions->value();
+  s.prepares = counts_.prepares.value();
+  s.cache_hits = counts_.cache_hits.value();
+  s.executions = counts_.executions.value();
+  s.replans = counts_.replans.value();
+  s.evictions = counts_.evictions.value();
   return s;
 }
 

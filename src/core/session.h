@@ -18,11 +18,13 @@
 ///   bool done = false;
 ///   while (cursor->Next(&chunk, 1024, &done).ok() && !done) Consume(chunk);
 ///
-/// `Prepare` parses, identifies the complex subquery, selects the route
-/// and slot-compiles the plan **once**; plans are cached by query text,
-/// so preparing the same text again is a hash lookup. `Bind` resolves a
-/// parameter to a dictionary id (one probe); re-executing with new
-/// bindings never re-parses, re-routes or re-encodes.
+/// `Prepare` parses the text **once** and caches it by exact text, so
+/// preparing the same text again is a hash lookup. The first execution
+/// plans it (identifies the complex subquery, selects the route and
+/// slot-compiles), and every later execution reuses that plan while the
+/// store's plan epoch stands. `Bind` resolves a parameter to a
+/// dictionary id (one probe); re-executing with new bindings never
+/// re-parses, re-routes or re-encodes.
 ///
 /// `Session::Execute(text)` is the one-shot form of the same path
 /// (`Prepare` + `ExecuteAll`) for a query without parameters.
@@ -37,13 +39,17 @@
 /// carry the store's `plan_epoch()`; when updates or re-tuning move it
 /// (graph residency, view catalog, dictionary contents), the next
 /// execution transparently re-prepares against the pinned snapshot and
-/// re-resolves its bindings — a stale plan is never executed.
+/// re-resolves its bindings — a stale plan is never executed. Epochs
+/// only grow, so a fresh plan replaces the cached one only when it is
+/// newer: a reader still pinned at an older epoch plans and runs its own
+/// plan without evicting the newer one.
 ///
 /// Error handling at the API boundary is uniform `Status`/`Result`:
-/// parse failures surface from `Prepare` (ParseError), unknown terms from
-/// `Bind` (NotFound), unknown parameter names from `Bind`
-/// (InvalidArgument), and executing with unbound parameters fails
-/// (FailedPrecondition) — no path silently yields an empty table.
+/// parse failures surface from `Prepare` (ParseError), planning failures
+/// from the first `ExecuteAll`/`OpenCursor`, unknown terms from `Bind`
+/// (NotFound), unknown parameter names from `Bind` (InvalidArgument), and
+/// executing with unbound parameters fails (FailedPrecondition) — no path
+/// silently yields an empty table.
 ///
 /// Threading: `Session` itself is thread-safe — the plan cache is
 /// shared under a mutex taken per `Prepare`, stats counters are atomics,
@@ -96,6 +102,11 @@ struct CacheEntry {
 
   std::mutex mu;                     // guards `plan`
   std::shared_ptr<const PreparedPlan> plan;  // null until first execution
+
+  /// Caches `fresh` unless the cached plan is at least as new. Epochs
+  /// only grow, so a reader pinned at an older epoch runs its own plan
+  /// without replacing a newer reader's.
+  void InstallIfNewer(std::shared_ptr<const PreparedPlan> fresh);
 };
 
 /// A plan-cache slot: the shared entry plus its position in the session's
@@ -172,9 +183,6 @@ class PreparedQuery {
   /// returning empty results).
   Status Bind(std::string_view param, std::string_view term);
 
-  /// Drops all bindings of this handle.
-  void ClearBindings();
-
   /// Executes with the current bindings and materializes the full result
   /// — semantics, rows and simulated cost charges identical to
   /// `Session::Execute` on the equivalent bound query text.
@@ -238,8 +246,9 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Parses, routes and slot-compiles `text` once; cached by exact text.
-  /// Parse and planning failures surface here as `Status`.
+  /// Parses `text` once; cached by exact text. Parse failures surface
+  /// here as `Status`. Planning waits for the first execution, so its
+  /// failures surface from `ExecuteAll` / `OpenCursor`.
   Result<PreparedQuery> Prepare(std::string_view text);
 
   /// One-shot form: `Prepare` (cache-backed) + `ExecuteAll`, the same
@@ -258,16 +267,10 @@ class Session {
   /// again immediately.
   std::future<Result<QueryExecution>> SubmitAsync(PreparedQuery prepared);
 
-  /// Drops every cached plan (handles re-prepare lazily on next use).
-  void ClearPlanCache();
-
-  /// Compatibility view over this session's telemetry counter cells:
-  /// same fields, same per-instance semantics as the pre-telemetry
-  /// atomics. The registry counters `session.*` are the single source of
-  /// truth — `stats()` reads this session's dedicated cells, the global
-  /// export sums every session's cells into the process totals.
+  /// This session's own counts. Each event also adds to the process-wide
+  /// `session.*` counter of the same name, which sums every session.
   struct Stats {
-    uint64_t prepares = 0;     ///< cache misses: full parse + plan
+    uint64_t prepares = 0;     ///< cache misses: texts parsed
     uint64_t cache_hits = 0;   ///< Prepare served from the cache
     uint64_t executions = 0;   ///< ExecuteAll / cursor opens
     uint64_t replans = 0;      ///< plans re-validated after an epoch move
@@ -281,8 +284,10 @@ class Session {
   /// Pins the current snapshot (wait-free over an OnlineStore).
   session_internal::Snapshot Pin() const;
 
-  /// The entry's plan, re-prepared iff its epoch differs from `store`'s;
-  /// every fetch of a fresh plan is timed into `session.plan_us`.
+  /// The plan to run against `store`: the entry's cached plan when its
+  /// epoch matches, else a freshly prepared one, which the entry caches
+  /// only if it is newer. Every fresh plan is timed into
+  /// `session.plan_us`.
   Result<std::shared_ptr<const PreparedPlan>> PlanFor(
       session_internal::CacheEntry* entry, const DualStore& store);
 
@@ -301,20 +306,15 @@ class Session {
   std::list<std::string> lru_;
   size_t plan_cache_capacity_ = kDefaultPlanCacheCapacity;
 
-  /// This session's dedicated write cells in the global `session.*`
-  /// counters — lock-free increments (executions must not serialize on a
-  /// stats mutex), exact per-session reads, and they roll up into the
-  /// process-wide registry totals for free. Counting is unconditional:
-  /// `stats()` keeps its semantics whether telemetry is enabled or not.
-  struct StatCells {
-    StatCells();  // allocates cells from MetricsRegistry::Global()
-    telemetry::Counter::Cell* prepares;
-    telemetry::Counter::Cell* cache_hits;
-    telemetry::Counter::Cell* executions;
-    telemetry::Counter::Cell* replans;
-    telemetry::Counter::Cell* evictions;
+  /// The counts behind `stats()`: lock-free (executions must not
+  /// serialize on a stats mutex) and unconditional, so `stats()` keeps
+  /// its meaning whether telemetry is enabled or not.
+  struct Counts {
+    Counts();  // resolves the global `session.*` counters
+    telemetry::LocalCount prepares, cache_hits, executions, replans,
+        evictions;
   };
-  StatCells cells_;
+  Counts counts_;
 };
 
 }  // namespace dskg::core

@@ -14,15 +14,17 @@
 #include <cstring>
 #include <utility>
 
-#include "core/dual_store.h"
 #include "core/query_processor.h"
 #include "rdf/dictionary.h"
 #include "sparql/bindings.h"
-#include "sparql/parser.h"
 
 namespace dskg::server {
 
 namespace {
+
+telemetry::MetricsRegistry& Registry() {
+  return telemetry::MetricsRegistry::Global();
+}
 
 void SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -112,24 +114,10 @@ void EncodeRows(std::vector<uint8_t>* out, uint32_t request_id,
 
 // ---- connection & work-item state -------------------------------------------
 
-struct Server::StmtState {
-  std::string text;
-  std::shared_ptr<const sparql::Query> parsed;
-};
-
-struct Server::CursorState {
-  std::shared_ptr<const core::PreparedPlan> plan;
-  core::OnlineStore::ReadGuard pin;  ///< the cursor's own epoch pin
-  core::ExecutionCursor cursor;
-
-  CursorState(std::shared_ptr<const core::PreparedPlan> p,
-              core::OnlineStore::ReadGuard g, core::ExecutionCursor c)
-      : plan(std::move(p)), pin(std::move(g)), cursor(std::move(c)) {}
-};
-
 struct Server::Connection {
   int fd = -1;
   uint64_t id = 0;
+  std::string label;  ///< "conn=<id>": tags this tenant's slow queries
   std::vector<uint8_t> rbuf;
   std::atomic<bool> dead{false};
 
@@ -146,11 +134,23 @@ struct Server::Connection {
 
   /// Per-tenant session state: statements are client-numbered, cursors
   /// server-numbered. Guarded by `state_mu` (workers race on EXECUTE vs
-  /// FETCH vs CLOSE for one connection).
+  /// FETCH vs CLOSE for one connection). A null cursor is checked out by
+  /// a FETCH in progress.
   std::mutex state_mu;
-  std::unordered_map<uint32_t, StmtState> stmts;
-  std::unordered_map<uint32_t, std::unique_ptr<CursorState>> cursors;
+  std::unordered_map<uint32_t, core::PreparedQuery> stmts;
+  std::unordered_map<uint32_t, std::unique_ptr<core::Cursor>> cursors;
   uint32_t next_cursor_id = 1;
+
+  /// A copy of statement `id`: it shares the cached plan, and its
+  /// bindings are the caller's own.
+  Result<core::PreparedQuery> Statement(uint32_t id) {
+    std::lock_guard<std::mutex> lk(state_mu);
+    auto it = stmts.find(id);
+    if (it == stmts.end()) {
+      return Status::NotFound("no statement with id " + std::to_string(id));
+    }
+    return it->second;
+  }
 };
 
 struct Server::WorkItem {
@@ -163,20 +163,20 @@ struct Server::WorkItem {
 
 // ---- construction -----------------------------------------------------------
 
+Server::Metrics::Metrics()
+    : accepted(Registry().counter("server.connections.accepted")),
+      admitted(Registry().counter("server.requests.admitted")),
+      rejected(Registry().counter("server.requests.rejected")),
+      responses(Registry().counter("server.responses")),
+      errors(Registry().counter("server.errors")),
+      batches(Registry().counter("server.batches")),
+      open_connections(Registry().gauge("server.connections.open")),
+      queue_depth(Registry().gauge("server.queue.depth")),
+      request_us(Registry().histogram("server.request_us")),
+      batch_size(Registry().histogram("server.batch_size")) {}
+
 Server::Server(core::OnlineStore* store, ServerConfig config)
-    : store_(store), cfg_(std::move(config)) {
-  auto& reg = telemetry::MetricsRegistry::Global();
-  cells_.accepted = reg.counter("server.connections.accepted")->NewCell();
-  cells_.admitted = reg.counter("server.requests.admitted")->NewCell();
-  cells_.rejected = reg.counter("server.requests.rejected")->NewCell();
-  cells_.responses = reg.counter("server.responses")->NewCell();
-  cells_.errors = reg.counter("server.errors")->NewCell();
-  cells_.batches = reg.counter("server.batches")->NewCell();
-  cells_.open_connections = reg.gauge("server.connections.open");
-  cells_.queue_depth = reg.gauge("server.queue.depth");
-  cells_.request_us = reg.histogram("server.request_us");
-  cells_.batch_size = reg.histogram("server.batch_size");
-}
+    : store_(store), cfg_(std::move(config)), session_(store) {}
 
 Server::~Server() {
   if (started()) Stop();
@@ -242,7 +242,7 @@ void Server::Stop() {
     for (auto& [fd, conn] : conns_) AbortConnection(conn);
     conns_.clear();
   }
-  cells_.open_connections->Set(0);
+  metrics_.open_connections->Set(0);
 
   if (admin_thread_.joinable()) {
     (void)!::write(wake_pipe_[1], &byte, 1);
@@ -266,12 +266,12 @@ void Server::Stop() {
 
 Server::Stats Server::stats() const {
   Stats s;
-  s.connections_accepted = cells_.accepted->value();
-  s.requests_admitted = cells_.admitted->value();
-  s.requests_rejected = cells_.rejected->value();
-  s.responses_sent = cells_.responses->value();
-  s.errors_sent = cells_.errors->value();
-  s.batches = cells_.batches->value();
+  s.connections_accepted = metrics_.accepted.value();
+  s.requests_admitted = metrics_.admitted.value();
+  s.requests_rejected = metrics_.rejected.value();
+  s.responses_sent = metrics_.responses.value();
+  s.errors_sent = metrics_.errors.value();
+  s.batches = metrics_.batches.value();
   return s;
 }
 
@@ -319,12 +319,13 @@ void Server::AcceptOne() {
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
+    conn->label = "conn=" + std::to_string(conn->id);
     {
       std::lock_guard<std::mutex> lk(conns_mu_);
       conns_.emplace(fd, std::move(conn));
-      cells_.open_connections->Set(static_cast<int64_t>(conns_.size()));
+      metrics_.open_connections->Set(static_cast<int64_t>(conns_.size()));
     }
-    cells_.accepted->Add();
+    metrics_.accepted.Add();
   }
 }
 
@@ -396,7 +397,7 @@ void Server::DispatchFrame(const std::shared_ptr<Connection>& conn,
     std::unique_lock<std::mutex> lk(queue_mu_);
     if (queue_.size() >= cfg_.max_queue_depth) {
       lk.unlock();
-      cells_.rejected->Add();
+      metrics_.rejected.Add();
       SendError(conn, frame.request_id,
                 Status::CapacityExceeded(
                     "server overloaded: request queue full (depth " +
@@ -405,9 +406,9 @@ void Server::DispatchFrame(const std::shared_ptr<Connection>& conn,
       return;
     }
     queue_.push_back(std::move(item));
-    cells_.queue_depth->Set(static_cast<int64_t>(queue_.size()));
+    metrics_.queue_depth->Set(static_cast<int64_t>(queue_.size()));
   }
-  cells_.admitted->Add();
+  metrics_.admitted.Add();
   queue_cv_.notify_one();
 }
 
@@ -415,7 +416,7 @@ void Server::CloseConnection(const std::shared_ptr<Connection>& conn) {
   AbortConnection(conn);
   std::lock_guard<std::mutex> lk(conns_mu_);
   conns_.erase(conn->fd);
-  cells_.open_connections->Set(static_cast<int64_t>(conns_.size()));
+  metrics_.open_connections->Set(static_cast<int64_t>(conns_.size()));
 }
 
 void Server::AbortConnection(const std::shared_ptr<Connection>& conn) {
@@ -449,7 +450,7 @@ void Server::WorkerLoop() {
         queue_.pop_front();
       }
       in_flight_ += n;
-      cells_.queue_depth->Set(static_cast<int64_t>(queue_.size()));
+      metrics_.queue_depth->Set(static_cast<int64_t>(queue_.size()));
     }
     if (cfg_.test_batch_hook) cfg_.test_batch_hook();
     ExecuteBatch(&batch);
@@ -462,26 +463,30 @@ void Server::WorkerLoop() {
 }
 
 void Server::ExecuteBatch(std::vector<WorkItem>* batch) {
-  cells_.batches->Add();
+  metrics_.batches.Add();
   auto& reg = telemetry::MetricsRegistry::Global();
   if (reg.enabled()) {
-    cells_.batch_size->Record(static_cast<double>(batch->size()));
+    metrics_.batch_size->Record(static_cast<double>(batch->size()));
   }
-  // ONE epoch pin and ONE installed snapshot for the whole batch: every
-  // same-epoch execution in it amortizes the pin and reads one state.
+  // One pin for the whole batch. Each execution pins its own snapshot
+  // inside the Session and drops it when `ExecuteAll` returns, but the
+  // result holds term ids, and a released id can be recycled, its text
+  // overwritten, two drained batches later (`rdf::Dictionary`). While
+  // this pin is held no batch can drain, so every result's ids still
+  // name their terms when its reply is encoded.
   const core::OnlineStore::ReadGuard guard = store_->Read();
-  core::DualStore::SnapshotScope scope(&guard.snapshot());
-  for (const WorkItem& item : *batch) HandleItem(item, guard);
+  for (const WorkItem& item : *batch) HandleItem(item, guard.store().dict());
 }
 
-void Server::HandleItem(const WorkItem& item,
-                        const core::OnlineStore::ReadGuard& g) {
+void Server::HandleItem(const WorkItem& item, const rdf::Dictionary& dict) {
   if (item.conn->dead.load(std::memory_order_relaxed)) return;
+  // Slow queries recorded while handling this request name its tenant.
+  telemetry::RequestLabelScope label(item.conn->label);
   Status s;
   switch (item.type) {
-    case MsgType::kPrepare: s = HandlePrepare(item, g); break;
-    case MsgType::kExecute: s = HandleExecute(item, g); break;
-    case MsgType::kFetch: s = HandleFetch(item); break;
+    case MsgType::kPrepare: s = HandlePrepare(item); break;
+    case MsgType::kExecute: s = HandleExecute(item, dict); break;
+    case MsgType::kFetch: s = HandleFetch(item, dict); break;
     case MsgType::kCloseStmt: s = HandleClose(item, /*cursor=*/false); break;
     case MsgType::kCloseCursor: s = HandleClose(item, /*cursor=*/true); break;
     default: s = Status::Internal("unreachable request type");
@@ -489,40 +494,36 @@ void Server::HandleItem(const WorkItem& item,
   if (!s.ok()) SendError(item.conn, item.request_id, s);
   auto& reg = telemetry::MetricsRegistry::Global();
   if (reg.enabled()) {
-    cells_.request_us->Record(reg.NowMicros() - item.enqueue_us);
+    metrics_.request_us->Record(reg.NowMicros() - item.enqueue_us);
   }
 }
 
-Status Server::HandlePrepare(const WorkItem& item,
-                             const core::OnlineStore::ReadGuard& g) {
+Status Server::HandlePrepare(const WorkItem& item) {
   WireReader r(item.body.data(), item.body.size());
   uint32_t stmt_id = 0;
   std::string text;
   if (!r.GetU32(&stmt_id) || !r.GetString(&text) || !r.AtEnd()) {
     return Status::InvalidArgument("malformed PREPARE frame");
   }
-  DSKG_ASSIGN_OR_RETURN(sparql::Query parsed, sparql::Parser::Parse(text));
-  DSKG_ASSIGN_OR_RETURN(std::shared_ptr<const core::PreparedPlan> plan,
-                        plan_cache_.GetOrPrepare(text, g.store(), &parsed));
-  {
-    std::lock_guard<std::mutex> lk(item.conn->state_mu);
-    StmtState& stmt = item.conn->stmts[stmt_id];  // re-PREPARE overwrites
-    stmt.text = std::move(text);
-    stmt.parsed = std::make_shared<const sparql::Query>(std::move(parsed));
-  }
+  DSKG_ASSIGN_OR_RETURN(core::PreparedQuery prepared, session_.Prepare(text));
   std::vector<uint8_t> out;
   WireWriter w(&out);
   const size_t start = w.BeginFrame(MsgType::kPrepared, item.request_id);
   w.PutU32(stmt_id);
-  w.PutU16(static_cast<uint16_t>(plan->params.size()));
-  for (const std::string& p : plan->params) w.PutString(p);
+  w.PutU16(static_cast<uint16_t>(prepared.parameters().size()));
+  for (const std::string& p : prepared.parameters()) w.PutString(p);
   w.FinishFrame(start);
+  {
+    std::lock_guard<std::mutex> lk(item.conn->state_mu);
+    // Re-PREPARE of an id overwrites it.
+    item.conn->stmts.insert_or_assign(stmt_id, std::move(prepared));
+  }
   SendBytes(item.conn, out);
   return Status::OK();
 }
 
 Status Server::HandleExecute(const WorkItem& item,
-                             const core::OnlineStore::ReadGuard& g) {
+                             const rdf::Dictionary& dict) {
   WireReader r(item.body.data(), item.body.size());
   uint32_t stmt_id = 0;
   uint8_t open_cursor = 0;
@@ -539,107 +540,37 @@ Status Server::HandleExecute(const WorkItem& item,
   }
   if (!r.AtEnd()) return Status::InvalidArgument("malformed EXECUTE frame");
 
-  StmtState stmt;
-  {
-    std::lock_guard<std::mutex> lk(item.conn->state_mu);
-    auto it = item.conn->stmts.find(stmt_id);
-    if (it == item.conn->stmts.end()) {
-      return Status::NotFound("no statement with id " +
-                              std::to_string(stmt_id));
-    }
-    stmt = it->second;  // copies text + shares the parse
+  DSKG_ASSIGN_OR_RETURN(core::PreparedQuery prepared,
+                        item.conn->Statement(stmt_id));
+  for (const auto& [name, term] : bindings) {
+    DSKG_RETURN_NOT_OK(prepared.Bind(name, term));
   }
 
-  // Resolve the plan through the shared cache (one compile per (text,
-  // epoch) process-wide) and the bindings against the pinned dictionary.
-  DSKG_ASSIGN_OR_RETURN(
-      std::shared_ptr<const core::PreparedPlan> plan,
-      plan_cache_.GetOrPrepare(stmt.text, g.store(), stmt.parsed.get()));
-  auto resolve = [&stmt](const core::PreparedPlan& p, const rdf::Dictionary& d,
-                         const std::vector<std::pair<std::string,
-                                                     std::string>>& binds)
-      -> Result<std::vector<rdf::TermId>> {
-    std::vector<rdf::TermId> values(p.params.size(), rdf::kInvalidTermId);
-    for (const auto& [name, term] : binds) {
-      size_t idx = p.params.size();
-      for (size_t i = 0; i < p.params.size(); ++i) {
-        if (p.params[i] == name) { idx = i; break; }
-      }
-      if (idx == p.params.size()) {
-        return Status::InvalidArgument("no parameter $" + name +
-                                       " in query \"" + stmt.text + "\"");
-      }
-      values[idx] = d.Lookup(term);
-      if (values[idx] == rdf::kInvalidTermId) {
-        return Status::NotFound("term " + term +
-                                " is not in the dictionary; binding it to $" +
-                                name + " could never match");
-      }
-    }
-    for (size_t i = 0; i < p.params.size(); ++i) {
-      if (values[i] == rdf::kInvalidTermId) {
-        return Status::FailedPrecondition("parameter $" + p.params[i] +
-                                          " is unbound in query \"" +
-                                          stmt.text + "\"");
-      }
-    }
-    return values;
-  };
-
   if (open_cursor != 0) {
-    // A cursor outlives the batch, so it gets its OWN pin; plan and
-    // bindings re-resolve for that pin's (possibly newer) epoch.
-    core::OnlineStore::ReadGuard pin = store_->Read();
-    core::DualStore::SnapshotScope scope(&pin.snapshot());
-    DSKG_ASSIGN_OR_RETURN(
-        plan, plan_cache_.GetOrPrepare(stmt.text, pin.store(),
-                                       stmt.parsed.get()));
-    DSKG_ASSIGN_OR_RETURN(std::vector<rdf::TermId> values,
-                          resolve(*plan, pin.store().dict(), bindings));
-    DSKG_ASSIGN_OR_RETURN(
-        core::ExecutionCursor cursor,
-        pin.store().OpenCursor(*plan,
-                               values.empty() ? nullptr : values.data()));
+    // The cursor owns its pin until it is drained or closed.
+    DSKG_ASSIGN_OR_RETURN(core::Cursor cursor, prepared.OpenCursor());
     const core::Route route = cursor.route();
     const std::vector<std::string> columns = cursor.columns();
-    auto state = std::make_unique<CursorState>(plan, std::move(pin),
-                                               std::move(cursor));
     uint32_t cursor_id = 0;
     {
       std::lock_guard<std::mutex> lk(item.conn->state_mu);
       cursor_id = item.conn->next_cursor_id++;
-      item.conn->cursors.emplace(cursor_id, std::move(state));
+      item.conn->cursors.emplace(
+          cursor_id, std::make_unique<core::Cursor>(std::move(cursor)));
     }
     // Ack with the cursor id and the header; rows (and charges, which
     // accrue as the cursor advances) arrive via FETCH.
     std::vector<uint8_t> out;
     EncodeRows(&out, item.request_id, cursor_id, /*done=*/false, route,
-               core::QueryExecution{}, columns, /*rows=*/nullptr,
-               g.store().dict());
+               core::QueryExecution{}, columns, /*rows=*/nullptr, dict);
     SendBytes(item.conn, out);
     return Status::OK();
   }
 
-  DSKG_ASSIGN_OR_RETURN(std::vector<rdf::TermId> values,
-                        resolve(*plan, g.store().dict(), bindings));
-  auto& reg = telemetry::MetricsRegistry::Global();
-  const bool timed = reg.enabled() && reg.slow_queries().enabled();
-  const double start_us = timed ? reg.NowMicros() : 0;
-  DSKG_ASSIGN_OR_RETURN(
-      core::QueryExecution exec,
-      g.store().ExecutePlan(*plan, values.empty() ? nullptr : values.data()));
-  if (timed) {
-    // Tag the wire-level text with the tenant so /debug/slow attributes
-    // slow templates to a connection.
-    reg.slow_queries().MaybeRecord(
-        "conn=" + std::to_string(item.conn->id) + " " + stmt.text,
-        core::RouteName(exec.route),
-        (reg.NowMicros() - start_us) / 1000.0);
-  }
+  DSKG_ASSIGN_OR_RETURN(core::QueryExecution exec, prepared.ExecuteAll());
   std::vector<uint8_t> out;
   EncodeRows(&out, item.request_id, /*cursor_id=*/0, /*done=*/true,
-             exec.route, exec, exec.result.columns, &exec.result,
-             g.store().dict());
+             exec.route, exec, exec.result.columns, &exec.result, dict);
   // A frame past kMaxFrameBytes is a protocol violation the client's
   // decoder rightly drops the connection over — reject it here instead
   // and point at the streaming path.
@@ -654,7 +585,7 @@ Status Server::HandleExecute(const WorkItem& item,
   return Status::OK();
 }
 
-Status Server::HandleFetch(const WorkItem& item) {
+Status Server::HandleFetch(const WorkItem& item, const rdf::Dictionary& dict) {
   WireReader r(item.body.data(), item.body.size());
   uint32_t cursor_id = 0, max_rows = 0;
   if (!r.GetU32(&cursor_id) || !r.GetU32(&max_rows) || !r.AtEnd()) {
@@ -666,7 +597,7 @@ Status Server::HandleFetch(const WorkItem& item) {
   // send — a slow-reading peer must not block the connection's other
   // PREPARE/EXECUTE/CLOSE requests. A cursor is single-consumer by
   // construction; a concurrent FETCH on the same id is a client error.
-  std::unique_ptr<CursorState> cur;
+  std::unique_ptr<core::Cursor> cur;
   {
     std::lock_guard<std::mutex> lk(item.conn->state_mu);
     auto it = item.conn->cursors.find(cursor_id);
@@ -679,26 +610,21 @@ Status Server::HandleFetch(const WorkItem& item) {
     }
     cur = std::move(it->second);
   }
-  Status status;
+  // `Next` reads the snapshot the cursor pinned at open, whatever has
+  // published since; that pin also keeps the chunk's ids valid for `dict`.
+  sparql::BindingTable chunk;
   bool done = false;
+  Status status = cur->Next(&chunk, max_rows, &done);
   std::vector<uint8_t> out;
-  {
-    // Each pull re-installs the cursor's pinned snapshot: it keeps
-    // streaming the state it was opened on regardless of later publishes.
-    core::DualStore::SnapshotScope scope(&cur->pin.snapshot());
-    sparql::BindingTable chunk;
-    status = cur->cursor.Next(&chunk, max_rows, &done);
-    if (status.ok()) {
-      const core::QueryExecution ex = cur->cursor.Execution();  // cumulative
-      EncodeRows(&out, item.request_id, cursor_id, done, cur->cursor.route(),
-                 ex, cur->cursor.columns(), &chunk, cur->pin.store().dict());
-      if (out.size() - sizeof(uint32_t) > kMaxFrameBytes) {
-        status = Status::CapacityExceeded(
-            "chunk of " + std::to_string(max_rows) + " rows encodes to " +
-            std::to_string(out.size()) + " bytes, past the " +
-            std::to_string(kMaxFrameBytes) +
-            "-byte frame bound; FETCH fewer rows");
-      }
+  if (status.ok()) {
+    EncodeRows(&out, item.request_id, cursor_id, done, cur->route(),
+               cur->Execution(), cur->columns(), &chunk, dict);  // cumulative
+    if (out.size() - sizeof(uint32_t) > kMaxFrameBytes) {
+      status = Status::CapacityExceeded(
+          "chunk of " + std::to_string(max_rows) + " rows encodes to " +
+          std::to_string(out.size()) + " bytes, past the " +
+          std::to_string(kMaxFrameBytes) +
+          "-byte frame bound; FETCH fewer rows");
     }
   }
   {
@@ -776,13 +702,13 @@ void Server::SendBytes(const std::shared_ptr<Connection>& conn,
     AbortConnection(conn);
     return;
   }
-  cells_.responses->Add();
+  metrics_.responses.Add();
 }
 
 void Server::SendError(const std::shared_ptr<Connection>& conn,
                        uint32_t request_id, const Status& status,
                        bool may_block) {
-  cells_.errors->Add();
+  metrics_.errors.Add();
   // Error text can embed client-supplied query text; cap it so the
   // ERROR frame itself can never breach kMaxFrameBytes.
   constexpr size_t kMaxErrorText = 4096;

@@ -12,9 +12,19 @@
 ///                                         worker threads on a
 ///                                         ThreadPool, popping
 ///                                         BATCHES of requests
-///                                         executed under ONE
-///                                         epoch pin
+///                                         run through the server's
+///                                         one core::Session
 ///
+/// * **One query front end.** Every wire request runs through the
+///   server's `core::Session`, the same path an embedded caller takes: a
+///   PREPARE is `Session::Prepare` (parse once, cached by text; the plan
+///   is built at the first EXECUTE), an EXECUTE copies the statement's
+///   `core::PreparedQuery`, binds it and calls `ExecuteAll` or
+///   `OpenCursor`, and a server cursor is a `core::Cursor`. Plans are
+///   therefore shared by every connection through the Session's cache:
+///   N tenants preparing one template parse it once and plan it once per
+///   plan epoch, and wire answers equal in-process answers by
+///   construction.
 /// * **Connection handling is cheap.** A single IO thread accepts,
 ///   reads, and decodes frames (`server/protocol.h`); it never parses,
 ///   plans, or executes. Malformed frames drop the connection; a PING
@@ -25,16 +35,16 @@
 ///   explicit rejections the client can back off on, never into an
 ///   unbounded queue or a stalled socket.
 /// * **Request batching.** A worker pops up to `max_batch` requests and
-///   executes them under one `OnlineStore::Read()` pin and one
-///   installed `DualStore::SnapshotScope`: one epoch pin and one
-///   shared-plan-cache lookup per (text, batch) amortize across every
-///   request in the batch, and all of them observe the same snapshot.
+///   handles them in turn while holding one `OnlineStore::Read()` pin
+///   for the batch. Each execution pins its own snapshot inside the
+///   Session and releases it on return; the batch pin keeps the term ids
+///   of every result valid until its reply is encoded (see
+///   `ExecuteBatch`).
 /// * **Multi-tenant sessions.** Each connection carries its own
-///   statement and cursor tables (ids are per-connection); plans live
-///   in the process-wide `core::SharedPlanCache`, so N tenants
-///   preparing the same template compile it once per plan epoch.
-///   Cursors own a dedicated epoch pin: FETCH streams the snapshot the
-///   cursor was opened on no matter how many updates publish meanwhile.
+///   statement and cursor tables (ids are per-connection): a map of
+///   `core::PreparedQuery` handles and a map of `core::Cursor`s. A
+///   cursor owns its epoch pin: FETCH streams the snapshot the cursor
+///   was opened on no matter how many updates publish meanwhile.
 /// * **Responses may interleave.** Workers complete out of order;
 ///   responses carry the request's id. Writes to one connection are
 ///   serialized by a per-connection mutex.
@@ -68,7 +78,7 @@
 #include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "core/online_store.h"
-#include "core/plan_cache.h"
+#include "core/session.h"
 #include "server/protocol.h"
 
 namespace dskg::server {
@@ -139,10 +149,9 @@ class Server {
   uint16_t port() const { return port_; }
   uint16_t admin_port() const { return admin_port_; }
 
-  /// The cross-session shared plan cache (all connections plan through
-  /// it; exposed for tests and for in-process sessions that want to
-  /// share it).
-  core::SharedPlanCache& plan_cache() { return plan_cache_; }
+  /// The Session every wire request runs through (its plan cache is
+  /// shared by all connections; exposed for tests and stats).
+  core::Session& session() { return session_; }
 
   /// Monotone serving counters (exact; mirrored as `server.*` metrics).
   struct Stats {
@@ -157,8 +166,6 @@ class Server {
 
  private:
   struct Connection;
-  struct StmtState;
-  struct CursorState;
   struct WorkItem;
 
   // IO-thread side.
@@ -176,12 +183,11 @@ class Server {
   // Worker side.
   void WorkerLoop();
   void ExecuteBatch(std::vector<WorkItem>* batch);
-  void HandleItem(const WorkItem& item, const core::OnlineStore::ReadGuard& g);
-  Status HandlePrepare(const WorkItem& item,
-                       const core::OnlineStore::ReadGuard& g);
-  Status HandleExecute(const WorkItem& item,
-                       const core::OnlineStore::ReadGuard& g);
-  Status HandleFetch(const WorkItem& item);
+  /// `dict` decodes result rows; the caller's pin keeps their ids valid.
+  void HandleItem(const WorkItem& item, const rdf::Dictionary& dict);
+  Status HandlePrepare(const WorkItem& item);
+  Status HandleExecute(const WorkItem& item, const rdf::Dictionary& dict);
+  Status HandleFetch(const WorkItem& item, const rdf::Dictionary& dict);
   Status HandleClose(const WorkItem& item, bool cursor);
 
   // Response plumbing. Workers send with may_block=true (bounded
@@ -199,7 +205,7 @@ class Server {
 
   core::OnlineStore* store_;
   ServerConfig cfg_;
-  core::SharedPlanCache plan_cache_;
+  core::Session session_;
 
   int listen_fd_ = -1;
   int admin_fd_ = -1;
@@ -233,20 +239,19 @@ class Server {
   std::deque<WorkItem> queue_;
   size_t in_flight_ = 0;  ///< popped but not yet answered
 
-  // Telemetry (dedicated cells; registered as server.* metrics).
-  struct Cells {
-    telemetry::Counter::Cell* accepted;
-    telemetry::Counter::Cell* admitted;
-    telemetry::Counter::Cell* rejected;
-    telemetry::Counter::Cell* responses;
-    telemetry::Counter::Cell* errors;
-    telemetry::Counter::Cell* batches;
+  // Telemetry: this server's counts behind `stats()`, each also added to
+  // the global `server.*` counter of the same name, plus the gauges and
+  // histograms.
+  struct Metrics {
+    Metrics();  // resolves the global `server.*` metrics
+    telemetry::LocalCount accepted, admitted, rejected, responses, errors,
+        batches;
     telemetry::Gauge* open_connections;
     telemetry::Gauge* queue_depth;
     telemetry::Histogram* request_us;
     telemetry::Histogram* batch_size;
   };
-  Cells cells_;
+  Metrics metrics_;
 };
 
 /// Routes SIGINT/SIGTERM to `server->Stop()` via a self-pipe and a

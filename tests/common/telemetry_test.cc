@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -186,24 +187,28 @@ TEST(Counter, ConcurrentAddsAreLossless) {
   EXPECT_EQ(c.value(), static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(Counter, CellsArePrivateButFoldIntoTotal) {
-  Counter c("t");
+TEST(LocalCount, OwnCountsAreExactAndFoldIntoTotal) {
+  Counter total("t");
   constexpr int kThreads = 4;
-  std::vector<Counter::Cell*> cells(kThreads);
-  for (int t = 0; t < kThreads; ++t) cells[t] = c.NewCell();
+  std::vector<std::unique_ptr<LocalCount>> counts;
+  for (int t = 0; t < kThreads; ++t) {
+    counts.push_back(std::make_unique<LocalCount>(&total));
+  }
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&c, cell = cells[t], t] {
-      for (int i = 0; i <= t; ++i) cell->Add(10);
-      c.Add(1);  // stripe write racing the cell writes
+    threads.emplace_back([&total, count = counts[t].get(), t] {
+      for (int i = 0; i < (t + 1) * 10; ++i) count->Add();
+      total.Add(1);  // a plain stripe write racing the local counts
     });
   }
   for (std::thread& t : threads) t.join();
   for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(cells[t]->value(), static_cast<uint64_t>(t + 1) * 10);
+    EXPECT_EQ(counts[t]->value(), static_cast<uint64_t>(t + 1) * 10);
   }
-  // Total = 10+20+30+40 cell increments + 4 stripe increments.
-  EXPECT_EQ(c.value(), 104u);
+  // Total = 10+20+30+40 local increments + 4 stripe increments, and it
+  // keeps them once the local counts are gone.
+  counts.clear();
+  EXPECT_EQ(total.value(), 104u);
 }
 
 TEST(Histogram, ConcurrentRecordsAreLossless) {
@@ -313,6 +318,38 @@ TEST(SlowQueryLog, RecordsOnlyAboveThresholdAndTruncates) {
   EXPECT_EQ(entries[0].wall_ms, 12.5);
   EXPECT_EQ(entries[0].route, "dual_store");
   EXPECT_EQ(entries[0].text.size(), SlowQueryLog::kMaxText);
+}
+
+TEST(SlowQueryLog, RequestLabelTagsOnlyThisThreadsEntries) {
+  SlowQueryLog log;
+  log.set_threshold_ms(1.0);
+  log.MaybeRecord("q0", "graph_only", 2.0);
+  {
+    RequestLabelScope outer("conn=7");
+    log.MaybeRecord("q1", "graph_only", 2.0);
+    {
+      RequestLabelScope inner("conn=8");
+      log.MaybeRecord("q2", "graph_only", 2.0);
+    }
+    std::thread other([&log] { log.MaybeRecord("q3", "graph_only", 2.0); });
+    other.join();
+    log.MaybeRecord("q4", "graph_only", 2.0);
+    log.MaybeRecord(std::string(2 * SlowQueryLog::kMaxText, 'q'),
+                    "graph_only", 2.0);
+  }
+  log.MaybeRecord("q5", "graph_only", 2.0);
+  std::vector<std::string> texts;
+  for (const SlowQueryLog::Entry& e : log.Snapshot()) texts.push_back(e.text);
+  ASSERT_EQ(texts.size(), 7u);
+  EXPECT_EQ(texts[0], "q0");
+  EXPECT_EQ(texts[1], "conn=7 q1");
+  EXPECT_EQ(texts[2], "conn=8 q2");
+  EXPECT_EQ(texts[3], "q3");
+  EXPECT_EQ(texts[4], "conn=7 q4");
+  // The label counts against the truncation bound.
+  EXPECT_EQ(texts[5].size(), SlowQueryLog::kMaxText);
+  EXPECT_EQ(texts[5].rfind("conn=7 qq", 0), 0u);
+  EXPECT_EQ(texts[6], "q5");
 }
 
 // ---- registry + export ------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -553,6 +554,7 @@ TEST(SessionInvalidationTest, ResidencyFlipRevalidatesPlan) {
   auto cold = prepared->ExecuteAll();
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(cold->route, Route::kRelationalOnly);
+  const uint64_t parses = session.stats().prepares;
 
   // Flip residency: the prepared plan's route is stale and must be
   // re-validated, not silently executed.
@@ -567,6 +569,8 @@ TEST(SessionInvalidationTest, ResidencyFlipRevalidatesPlan) {
   EXPECT_EQ(warm->route, Route::kGraphOnly);
   EXPECT_TRUE(BindingTable::SameRows(warm->result, cold->result));
   EXPECT_GE(session.stats().replans, 1u);
+  // A re-plan reuses the cached parse.
+  EXPECT_EQ(session.stats().prepares, parses);
 
   // And back: eviction must downgrade the route again.
   ASSERT_TRUE(
@@ -588,6 +592,7 @@ TEST(SessionInvalidationTest, OnlineUpdatesRevalidateAndCursorsPinSnapshots) {
   auto before = prepared->ExecuteAll();
   ASSERT_TRUE(before.ok());
   ASSERT_EQ(before->result.NumRows(), 1u);
+  const uint64_t parses = session.stats().prepares;
 
   // A cursor opened now pins the pre-update snapshot for its lifetime.
   auto pinned_r = prepared->OpenCursor();
@@ -624,6 +629,8 @@ TEST(SessionInvalidationTest, OnlineUpdatesRevalidateAndCursorsPinSnapshots) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->result.NumRows(), 2u);
   EXPECT_GE(session.stats().replans, 1u);
+  // The re-plan reused the cached parse.
+  EXPECT_EQ(session.stats().prepares, parses);
 
   // Binding a term that only exists post-update works (the dictionary
   // grew; the plan epoch moved with it).
@@ -636,6 +643,40 @@ TEST(SessionInvalidationTest, OnlineUpdatesRevalidateAndCursorsPinSnapshots) {
   auto oslo = prepared->ExecuteAll();
   ASSERT_TRUE(oslo.ok());
   EXPECT_EQ(oslo->result.NumRows(), 1u);
+}
+
+// Epochs only grow, so a plan replaces the cached one only when it is
+// newer: a reader still pinned at an older epoch runs its own plan without
+// evicting the newer one that later readers share.
+TEST(SessionInvalidationTest, OnlyANewerPlanReplacesTheCachedOne) {
+  rdf::Dataset ds = testing::SmallPeopleGraph();
+  DualStoreConfig cfg;
+  cfg.graph_capacity_triples = ds.num_triples();
+  DualStore store(&ds, cfg);
+  auto q = Parser::Parse(kFlagshipParam);
+  ASSERT_TRUE(q.ok());
+  auto plan = [&]() -> std::shared_ptr<const PreparedPlan> {
+    auto p = store.Prepare(*q);
+    EXPECT_TRUE(p.ok()) << p.status();
+    return std::make_shared<const PreparedPlan>(std::move(p).ValueOrDie());
+  };
+  const auto older = plan();
+  const auto older_twin = plan();
+  CostMeter tuning;
+  ASSERT_TRUE(
+      store.MigratePartition(ds.dict().Lookup("bornIn"), &tuning).ok());
+  const auto newer = plan();
+  ASSERT_LT(older->plan_epoch, newer->plan_epoch);
+
+  session_internal::CacheEntry entry;
+  entry.InstallIfNewer(older);  // an empty entry takes any plan
+  EXPECT_EQ(entry.plan, older);
+  entry.InstallIfNewer(older_twin);  // same epoch: the cached plan stays
+  EXPECT_EQ(entry.plan, older);
+  entry.InstallIfNewer(newer);
+  EXPECT_EQ(entry.plan, newer);
+  entry.InstallIfNewer(older);  // an older reader's plan is not cached
+  EXPECT_EQ(entry.plan, newer);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // bit-identical to a direct core::Session oracle (inline and streamed),
 // Status -> wire error mapping, admission-control overload behaviour,
 // many concurrent socket clients vs a serial oracle (TSan-registered),
-// shared-plan-cache invalidation under concurrent ApplyUpdates,
+// plan re-validation in the server's Session under concurrent
+// ApplyUpdates,
 // graceful signal-driven shutdown with a final checkpoint, and the
 // admin HTTP listener.
 
@@ -498,15 +499,15 @@ TEST_F(ServerTest, ConcurrentClientsMatchSerialOracle) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
-  // The shared plan cache compiled each text far fewer times than the
+  // The server's Session parsed each text far fewer times than the
   // 8 x 25 executions that used it.
-  const auto cache_stats = server_->plan_cache().stats();
-  EXPECT_GE(cache_stats.hits, 1u);
-  EXPECT_LE(cache_stats.misses, static_cast<uint64_t>(expected.size()) * 4);
+  const auto cache_stats = server_->session().stats();
+  EXPECT_GE(cache_stats.cache_hits, 1u);
+  EXPECT_LE(cache_stats.prepares, static_cast<uint64_t>(expected.size()) * 4);
 }
 
-// TSan-registered: shared-plan-cache invalidation under a concurrent
-// ApplyUpdates stream — stale plan_epoch entries re-prepare
+// TSan-registered: plan invalidation in the server's Session under a
+// concurrent ApplyUpdates stream — stale plan_epoch entries re-prepare
 // transparently, and every wire answer equals the pre- or post-publish
 // oracle, never a torn state.
 TEST_F(ServerTest, PlanCacheInvalidationUnderConcurrentUpdates) {
@@ -572,7 +573,7 @@ TEST_F(ServerTest, PlanCacheInvalidationUnderConcurrentUpdates) {
 
   // Post-update executes see every wave, through a re-prepared plan.
   EXPECT_EQ(count_rows(&client), 1u + kWaves);
-  EXPECT_GE(server_->plan_cache().stats().invalidations, 1u);
+  EXPECT_GE(server_->session().stats().replans, 1u);
 }
 
 TEST_F(ServerTest, SignalShutdownDrainsInFlightAndCheckpoints) {
