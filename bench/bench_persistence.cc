@@ -37,6 +37,7 @@
 #include "persist/file.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
+#include "relstore/triple_table.h"
 #include "workload/update_stream.h"
 
 namespace dskg::bench {
@@ -57,16 +58,24 @@ std::string ScratchDir(const std::string& name) {
   return dir;
 }
 
-/// Canonical row digest: CRC32C over the sorted decoded triples. Two
-/// stores with the same digest hold identical logical content.
+/// Canonical row digest: CRC32C over the sorted decoded triples of the
+/// store's table. Two stores with the same digest hold identical logical
+/// content.
 uint32_t RowsCrc(const core::OnlineStore& store) {
-  const rdf::Dataset& ds = store.active().dataset();
+  const rdf::Dictionary& dict = store.active().dict();
   std::vector<std::string> rows;
-  rows.reserve(ds.triples().size());
-  for (const rdf::Triple& t : ds.triples()) {
-    rows.push_back(std::string(ds.dict().TermOf(t.subject)) + "|" +
-                   std::string(ds.dict().TermOf(t.predicate)) + "|" +
-                   std::string(ds.dict().TermOf(t.object)) + "\n");
+  rows.reserve(store.active().table().size());
+  CostMeter meter;
+  const Status s = store.active().table().ScanPattern(
+      relstore::BoundPattern{}, &meter, [&](const rdf::Triple& t) {
+        rows.push_back(std::string(dict.TermOf(t.subject)) + "|" +
+                       std::string(dict.TermOf(t.predicate)) + "|" +
+                       std::string(dict.TermOf(t.object)) + "\n");
+        return true;
+      });
+  if (!s.ok()) {
+    std::fprintf(stderr, "row scan failed: %s\n", s.ToString().c_str());
+    std::abort();
   }
   std::sort(rows.begin(), rows.end());
   uint32_t crc = 0;
@@ -115,6 +124,16 @@ void RunSnapshotBench(JsonReporter* json) {
     std::abort();
   }
 
+  // The rows the image restores: its table section, deserialized the way
+  // recovery does it.
+  relstore::TripleTable restored(loaded->num_shards);
+  ByteReader table_reader(loaded->table_payload);
+  s = restored.DeserializeFrom(&table_reader);
+  if (!s.ok()) {
+    std::fprintf(stderr, "table restore failed: %s\n", s.ToString().c_str());
+    std::abort();
+  }
+
   const uint64_t triples = ds.num_triples();
   const double per_triple =
       triples > 0 ? static_cast<double>(bytes) / static_cast<double>(triples)
@@ -128,7 +147,7 @@ void RunSnapshotBench(JsonReporter* json) {
               {{"triples", triples},
                {"snapshot_bytes", bytes},
                {"bytes_per_triple", per_triple},
-               {"loaded_triples", loaded->dataset.num_triples()},
+               {"loaded_triples", restored.size()},
                {"rows_crc", static_cast<uint64_t>(crc)},
                {"save_ms", save_ms},
                {"load_ms", load_ms}});
@@ -262,7 +281,7 @@ void RunRecoveryBench(JsonReporter* json) {
     std::abort();
   }
   const uint32_t crc = RowsCrc(**recovered);
-  const uint64_t rows = (*recovered)->active().dataset().num_triples();
+  const uint64_t rows = (*recovered)->active().table().size();
   if (crc != live_crc) {
     std::fprintf(stderr, "recovered rows diverge from the live store\n");
     std::abort();
@@ -351,7 +370,7 @@ int WriteFixture(const std::string& dir) {
       }
     }
     crc = RowsCrc(store);
-    rows = store.active().dataset().num_triples();
+    rows = store.active().table().size();
     // Dies WITHOUT a final snapshot: the fixture exercises both the
     // snapshot reader (snapshot-0) and the WAL replay path (3 records).
   }
@@ -423,7 +442,7 @@ int CheckCompat(const std::string& fixture_dir) {
                 recovered.status().ToString().c_str());
     return 1;
   }
-  const uint64_t rows = (*recovered)->active().dataset().num_triples();
+  const uint64_t rows = (*recovered)->active().table().size();
   const uint32_t crc = RowsCrc(**recovered);
   const bool ok = rows == want_rows && crc == want_crc &&
                   report.replayed_batches == want_batches &&

@@ -120,16 +120,21 @@ void DemoSlowQueryLog(const rdf::Dataset& ds, double threshold_ms) {
   }
 }
 
-/// Sorted canonical rows of a store (text-decoded, id-layout-free).
+/// Sorted canonical rows of a store's table (text-decoded,
+/// id-layout-free).
 std::vector<std::string> CanonRows(const core::OnlineStore& store) {
-  const rdf::Dataset& ds = store.active().dataset();
+  const rdf::Dictionary& dict = store.active().dict();
   std::vector<std::string> rows;
-  rows.reserve(ds.triples().size());
-  for (const rdf::Triple& t : ds.triples()) {
-    rows.push_back(std::string(ds.dict().TermOf(t.subject)) + "|" +
-                   std::string(ds.dict().TermOf(t.predicate)) + "|" +
-                   std::string(ds.dict().TermOf(t.object)));
-  }
+  rows.reserve(store.active().table().size());
+  CostMeter meter;
+  const Status s = store.active().table().ScanPattern(
+      relstore::BoundPattern{}, &meter, [&](const rdf::Triple& t) {
+        rows.push_back(std::string(dict.TermOf(t.subject)) + "|" +
+                       std::string(dict.TermOf(t.predicate)) + "|" +
+                       std::string(dict.TermOf(t.object)));
+        return true;
+      });
+  if (!s.ok()) std::fprintf(stderr, "%s\n", s.ToString().c_str());
   std::sort(rows.begin(), rows.end());
   return rows;
 }
@@ -169,7 +174,7 @@ int ResumeDemo(const std::string& dir) {
   PrintReport(report);
   std::printf("  rows:              %llu\n",
               static_cast<unsigned long long>(
-                  (*store)->active().dataset().num_triples()));
+                  (*store)->active().table().size()));
   core::Session session(store->get());
   auto exec = session.Execute(kFlagship);
   if (!exec.ok()) {

@@ -344,8 +344,7 @@ TEST_P(EngineEquivalenceTest, PreparedVsFreshOracleUnderMutations) {
     };
     std::vector<Prepared> pool;
     for (int i = 0; i < 6; ++i) {
-      const sparql::Query q = testing::RandomBgp(store.active().dataset(),
-                                                 &rng);
+      const sparql::Query q = testing::RandomBgp(initial, &rng);
       Prepared p;
       p.bound = q;
       // Parameterize each constant endpoint with probability 1/2.

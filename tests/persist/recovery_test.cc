@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "persist/file.h"
 #include "persist/wal.h"
 #include "rdf/dataset.h"
+#include "relstore/triple_table.h"
 #include "workload/generators.h"
 #include "workload/update_stream.h"
 
@@ -48,18 +50,30 @@ std::string ScratchDir(const std::string& name) {
   return dir;
 }
 
-/// Canonical text form of the store's row set: every triple decoded
-/// through the dictionary, sorted. Two stores with equal canon hold
-/// bit-identical logical content regardless of internal id layout.
+/// Visits every triple stored in the store's table (a full scan).
+void ForEachStored(const OnlineStore& store,
+                   const std::function<void(const rdf::Triple&)>& fn) {
+  CostMeter meter;
+  const Status s = store.active().table().ScanPattern(
+      relstore::BoundPattern{}, &meter, [&](const rdf::Triple& t) {
+        fn(t);
+        return true;
+      });
+  ASSERT_TRUE(s.ok()) << s;
+}
+
+/// Canonical text form of the store's row set: every stored triple
+/// decoded through the dictionary, sorted. Two stores with equal canon
+/// hold bit-identical logical content regardless of internal id layout.
 std::vector<std::string> CanonRows(const OnlineStore& store) {
-  const rdf::Dataset& ds = store.active().dataset();
+  const rdf::Dictionary& dict = store.active().dict();
   std::vector<std::string> rows;
-  rows.reserve(ds.triples().size());
-  for (const rdf::Triple& t : ds.triples()) {
-    rows.push_back(std::string(ds.dict().TermOf(t.subject)) + "|" +
-                   std::string(ds.dict().TermOf(t.predicate)) + "|" +
-                   std::string(ds.dict().TermOf(t.object)));
-  }
+  rows.reserve(store.active().table().size());
+  ForEachStored(store, [&](const rdf::Triple& t) {
+    rows.push_back(std::string(dict.TermOf(t.subject)) + "|" +
+                   std::string(dict.TermOf(t.predicate)) + "|" +
+                   std::string(dict.TermOf(t.object)));
+  });
   std::sort(rows.begin(), rows.end());
   return rows;
 }
@@ -184,8 +198,15 @@ TEST(RecoveryTest, SnapshotPlusWalRoundTripZeroDiff) {
   more.seed = 123;
   more.num_batches = 2;
   more.ops_per_batch = 50;
-  const UpdateLog extra =
-      workload::GenerateUpdateStream((*recovered)->active().dataset(), more);
+  // The stream draws its deletes from a triple list: give it the
+  // recovered store's stored rows.
+  rdf::Dataset live;
+  const rdf::Dictionary& dict = (*recovered)->active().dict();
+  ForEachStored(**recovered, [&](const rdf::Triple& t) {
+    live.Add(dict.TermOf(t.subject), dict.TermOf(t.predicate),
+             dict.TermOf(t.object));
+  });
+  const UpdateLog extra = workload::GenerateUpdateStream(live, more);
   for (uint64_t k = 0; k < extra.size(); ++k) {
     auto r = (*recovered)->ApplyUpdates(extra.at(k));
     ASSERT_TRUE(r.ok()) << r.status();
