@@ -307,22 +307,6 @@ TEST_F(ApplyUpdatesTest, StatsDecayExactlyOnDelete) {
   EXPECT_EQ(after.num_distinct_objects, 1u);   // paris fully gone
 }
 
-TEST_F(ApplyUpdatesTest, DeleteThenReinsertWithinOneBatch) {
-  UpdateBatch batch;
-  batch.ops.push_back(UpdateOp::Delete("alice", "likes", "film1"));
-  batch.ops.push_back(UpdateOp::Insert("alice", "likes", "film1"));
-  batch.ops.push_back(UpdateOp::Insert("gina", "bornIn", "paris"));
-  batch.ops.push_back(UpdateOp::Delete("gina", "bornIn", "paris"));
-  const uint64_t triples_before = ds_.num_triples();
-  auto res = store_->ApplyUpdates(batch);
-  ASSERT_TRUE(res.ok()) << res.status();
-  EXPECT_EQ(ds_.num_triples(), triples_before);
-  CostMeter meter;
-  EXPECT_TRUE(store_->table().Contains(
-      {Id("alice"), Id("likes"), Id("film1")}, &meter));
-  EXPECT_EQ(ds_.dict().Lookup("gina"), rdf::kInvalidTermId);  // reclaimed
-}
-
 TEST_F(ApplyUpdatesTest, ResidentGraphPartitionIsMaintained) {
   CostMeter meter;
   ASSERT_TRUE(store_->MigratePartition(Id("likes"), &meter).ok());
@@ -392,6 +376,98 @@ TEST(ApplyUpdatesViewsTest, TouchedPredicatesInvalidateViews) {
   EXPECT_EQ(res->views_dropped, 1u);  // advisor view gone, likes view kept
   EXPECT_EQ(store.views()->num_views(), 1u);
   EXPECT_TRUE(store.views()->HasViewFor(other.patterns));
+}
+
+// ---- refcounts: a term lives exactly as long as a stored triple uses it ---
+
+/// The serial store (`num_shards` 0) or an OnlineStore of `num_shards`
+/// shards, built over `ds`: the refcount cases run on every write path.
+class AnyStore {
+ public:
+  AnyStore(rdf::Dataset* ds, int num_shards) {
+    DualStoreConfig cfg;
+    if (num_shards == 0) {
+      serial_ = std::make_unique<DualStore>(ds, cfg);
+    } else {
+      cfg.num_shards = num_shards;
+      online_ = std::make_unique<OnlineStore>(*ds, cfg);
+    }
+  }
+
+  Result<UpdateResult> Apply(const UpdateBatch& batch) {
+    return serial_ != nullptr ? serial_->ApplyUpdates(batch)
+                              : online_->ApplyUpdates(batch);
+  }
+
+  const DualStore& store() const {
+    return serial_ != nullptr ? *serial_ : online_->active();
+  }
+
+  bool Stored(const char* s, const char* p, const char* o) const {
+    const rdf::Dictionary& dict = store().dict();
+    CostMeter meter;
+    return store().table().Contains(
+        {dict.Lookup(s), dict.Lookup(p), dict.Lookup(o)}, &meter);
+  }
+
+ private:
+  std::unique_ptr<DualStore> serial_;
+  std::unique_ptr<OnlineStore> online_;
+};
+
+std::string PathName(int num_shards) {
+  return num_shards == 0
+             ? "serial DualStore"
+             : "OnlineStore, " + std::to_string(num_shards) + " shards";
+}
+
+TEST(RefCountTest, DeleteThenReinsertWithinOneBatch) {
+  for (int shards : {0, 1, 2}) {
+    SCOPED_TRACE(PathName(shards));
+    rdf::Dataset ds = testing::SmallPeopleGraph();
+    AnyStore s(&ds, shards);
+    UpdateBatch batch;
+    batch.ops.push_back(UpdateOp::Delete("alice", "likes", "film1"));
+    batch.ops.push_back(UpdateOp::Insert("alice", "likes", "film1"));
+    batch.ops.push_back(UpdateOp::Insert("gina", "bornIn", "paris"));
+    batch.ops.push_back(UpdateOp::Delete("gina", "bornIn", "paris"));
+    auto res = s.Apply(batch);
+    ASSERT_TRUE(res.ok()) << res.status();
+    EXPECT_EQ(s.store().table().size(), 14u);
+    EXPECT_TRUE(s.Stored("alice", "likes", "film1"));
+    EXPECT_GT(s.store().dict().RefCount(s.store().dict().Lookup("alice")),
+              0u);
+    EXPECT_EQ(s.store().dict().Lookup("gina"), rdf::kInvalidTermId);
+  }
+}
+
+TEST(RefCountTest, DeletingATripleLoadedTwiceForgetsItsSubject) {
+  for (int shards : {0, 1, 2}) {
+    SCOPED_TRACE(PathName(shards));
+    // "solo" occurs in no other triple; the store holds the pair once.
+    rdf::Dataset ds = testing::SmallPeopleGraph();
+    ds.Add("solo", "likes", "film1");
+    ds.Add("solo", "likes", "film1");
+    AnyStore s(&ds, shards);
+    ASSERT_EQ(s.store().table().size(), 15u);
+
+    UpdateBatch del;
+    del.ops.push_back(UpdateOp::Delete("solo", "likes", "film1"));
+    auto res = s.Apply(del);
+    ASSERT_TRUE(res.ok()) << res.status();
+    EXPECT_EQ(res->deleted, 1u);
+    EXPECT_EQ(s.store().table().size(), 14u);
+    EXPECT_EQ(s.store().dict().Lookup("solo"), rdf::kInvalidTermId);
+
+    UpdateBatch ins;
+    ins.ops.push_back(UpdateOp::Insert("solo", "likes", "film1"));
+    res = s.Apply(ins);
+    ASSERT_TRUE(res.ok()) << res.status();
+    EXPECT_EQ(res->inserted, 1u);
+    EXPECT_EQ(s.store().table().size(), 15u);
+    EXPECT_TRUE(s.Stored("solo", "likes", "film1"));
+    EXPECT_EQ(s.store().dict().RefCount(s.store().dict().Lookup("solo")), 1u);
+  }
 }
 
 // ---- OnlineStore: snapshot equivalence under concurrency ------------------
