@@ -1,6 +1,7 @@
 #include "core/dual_store.h"
 
 #include <unordered_set>
+#include <vector>
 
 namespace dskg::core {
 
@@ -9,46 +10,31 @@ using rdf::Triple;
 using sparql::Query;
 
 DualStore::DualStore(rdf::Dataset* dataset, const DualStoreConfig& config)
-    : dataset_(dataset),
-      config_(config),
-      table_(config.num_shards),
-      graph_(config.graph_capacity_triples, config.num_shards),
-      executor_(&table_, &dataset->dict()),
-      matcher_(&graph_, &dataset->dict()) {
+    : DualStore(&dataset->mutable_dict(), config, RestoreTag{}) {
   CostMeter load_meter;
-  table_.BulkLoad(dataset->triples(), &load_meter, config.load_pool);
+  dataset->ReleaseDuplicates(
+      table_.BulkLoad(dataset->triples(), &load_meter, config.load_pool));
   load_micros_ = load_meter.sim_micros();
-
-  if (config.use_views) {
-    views_ = std::make_unique<relstore::MaterializedViewManager>(
-        &executor_, &dataset->dict(), config.views_budget_rows);
-  }
-  QueryProcessor::Config pc;
-  pc.use_graph = config.use_graph;
-  pc.use_views = config.use_views;
-  pc.graph_throttle = config.graph_throttle;
-  processor_ = std::make_unique<QueryProcessor>(
-      &executor_, &graph_, &matcher_, views_.get(), &dataset->dict(), pc);
 }
 
-DualStore::DualStore(rdf::Dataset* dataset, const DualStoreConfig& config,
+DualStore::DualStore(rdf::Dictionary* dict, const DualStoreConfig& config,
                      RestoreTag)
-    : dataset_(dataset),
+    : dict_(dict),
       config_(config),
       table_(config.num_shards),
       graph_(config.graph_capacity_triples, config.num_shards),
-      executor_(&table_, &dataset->dict()),
-      matcher_(&graph_, &dataset->dict()) {
+      executor_(&table_, dict),
+      matcher_(&graph_, dict) {
   if (config.use_views) {
     views_ = std::make_unique<relstore::MaterializedViewManager>(
-        &executor_, &dataset->dict(), config.views_budget_rows);
+        &executor_, dict, config.views_budget_rows);
   }
   QueryProcessor::Config pc;
   pc.use_graph = config.use_graph;
   pc.use_views = config.use_views;
   pc.graph_throttle = config.graph_throttle;
   processor_ = std::make_unique<QueryProcessor>(
-      &executor_, &graph_, &matcher_, views_.get(), &dataset->dict(), pc);
+      &executor_, &graph_, &matcher_, views_.get(), dict, pc);
 }
 
 Result<PreparedPlan> DualStore::Prepare(const Query& query) const {
@@ -105,22 +91,18 @@ Result<UpdateResult> DualStore::ApplyUpdates(const UpdateBatch& batch,
   CostMeter local;
   CostMeter* m = meter != nullptr ? meter : &local;
 
-  // Dataset removal is deferred to one stable end-of-batch sweep (O(|G|)
-  // instead of O(|G|) per delete). A successful re-insert of a triple
-  // deleted earlier in the same batch cancels against that pending sweep
-  // instead of appending, so dataset occurrences and the table's set
-  // semantics stay aligned. Deferring also delays dictionary releases to
-  // the sweep, so ids stay valid for the whole batch.
-  std::unordered_set<rdf::Triple, rdf::TripleHash> pending_removal;
+  // An applied insert retains its ids at once; an applied delete's ids
+  // are released after the loop, so every id stays valid for the whole
+  // batch and a delete plus re-insert of one triple nets to zero.
+  std::vector<Triple> deleted;
   std::unordered_set<TermId> touched_predicates;
 
   for (const UpdateOp& op : batch.ops) {
     if (op.kind == UpdateOp::Kind::kInsert) {
-      rdf::Dictionary& dict = dataset_->mutable_dict();
-      const Triple t{dict.Intern(op.subject), dict.Intern(op.predicate),
-                     dict.Intern(op.object)};
+      const Triple t{dict_->Intern(op.subject), dict_->Intern(op.predicate),
+                     dict_->Intern(op.object)};
       if (!table_.Insert(t, m)) continue;  // already stored: no-op
-      if (pending_removal.erase(t) == 0) dataset_->Add(t);
+      dict_->Retain(t);
       ++res.inserted;
       touched_predicates.insert(t.predicate);
       if (graph_.HasPredicate(t.predicate)) {
@@ -135,16 +117,15 @@ Result<UpdateResult> DualStore::ApplyUpdates(const UpdateBatch& batch,
         }
       }
     } else {
-      const rdf::Dictionary& dict = dataset_->dict();
-      const Triple t{dict.Lookup(op.subject), dict.Lookup(op.predicate),
-                     dict.Lookup(op.object)};
+      const Triple t{dict_->Lookup(op.subject), dict_->Lookup(op.predicate),
+                     dict_->Lookup(op.object)};
       if (t.subject == rdf::kInvalidTermId ||
           t.predicate == rdf::kInvalidTermId ||
           t.object == rdf::kInvalidTermId) {
         continue;  // references an unknown term: nothing stored to delete
       }
       if (!table_.RemoveTriple(t, m)) continue;  // not stored: no-op
-      pending_removal.insert(t);
+      deleted.push_back(t);
       ++res.deleted;
       touched_predicates.insert(t.predicate);
       if (graph_.HasPredicate(t.predicate)) {
@@ -155,17 +136,14 @@ Result<UpdateResult> DualStore::ApplyUpdates(const UpdateBatch& batch,
     }
   }
 
-  // Invalidate views BEFORE the dataset sweep: the sweep releases
-  // dictionary terms, and a predicate whose last triple died this batch
-  // must still resolve while the catalog is matched against
-  // `touched_predicates` (a stale view would otherwise survive and keep
-  // serving the deleted rows).
+  // Invalidate views BEFORE releasing: a release may forget a term, and a
+  // predicate whose last triple died this batch must still resolve while
+  // the catalog is matched against `touched_predicates` (a stale view
+  // would otherwise survive and keep serving the deleted rows).
   if (views_ != nullptr && !touched_predicates.empty()) {
     res.views_dropped = views_->InvalidatePredicates(touched_predicates);
   }
-  if (!pending_removal.empty()) {
-    dataset_->RemoveBatch(pending_removal);
-  }
+  for (const Triple& t : deleted) dict_->Release(t);
   return res;
 }
 

@@ -76,15 +76,23 @@ class DualStore {
   /// Bulk-loads `dataset` into the relational store. The dataset is
   /// borrowed (it owns the term dictionary) and must outlive the store;
   /// it stays mutable because knowledge updates intern new terms.
+  ///
+  /// The table holds each triple once, so the load releases the term
+  /// references of duplicate occurrences in the list (once per dataset —
+  /// see `Dataset::ReleaseDuplicates`). From then on the store maintains
+  /// only the dictionary: `ApplyUpdates` interns, retains and releases
+  /// terms, and never touches the dataset's triple list or partition
+  /// statistics, which keep describing the load.
   DualStore(rdf::Dataset* dataset, const DualStoreConfig& config);
 
   /// Recovery constructor (the persistence tier's entry): wires every
-  /// component exactly like the bulk-load constructor but skips the bulk
-  /// load, leaving the triple table empty — the caller (the online
-  /// store's restore path) rebuilds `table_` in place from a snapshot
-  /// slab image, O(slab bytes) instead of O(n log n) re-insertion.
+  /// component exactly like the bulk-load constructor over `dict` but
+  /// skips the bulk load, leaving the triple table empty — the caller
+  /// (the online store's restore path) rebuilds `table_` in place from a
+  /// snapshot slab image, O(slab bytes) instead of O(n log n)
+  /// re-insertion. `dict` is borrowed like the dataset above.
   struct RestoreTag {};
-  DualStore(rdf::Dataset* dataset, const DualStoreConfig& config, RestoreTag);
+  DualStore(rdf::Dictionary* dict, const DualStoreConfig& config, RestoreTag);
 
   DualStore(const DualStore&) = delete;
   DualStore& operator=(const DualStore&) = delete;
@@ -136,9 +144,10 @@ class DualStore {
                 std::string_view object, CostMeter* meter = nullptr);
 
   /// Applies one update batch (inserts + deletes, in op order) to every
-  /// structure of this store at once: the dataset and its dictionary
-  /// usage counts, the triple table with its three index permutations and
-  /// per-predicate statistics, resident graph-store partitions (edges
+  /// structure of this store at once: the dictionary's usage counts
+  /// (an applied insert retains its three ids, an applied delete releases
+  /// them once the batch's views are invalidated), the triple table with
+  /// its three index permutations and per-predicate statistics, resident graph-store partitions (edges
   /// maintained in place; a partition that overflows capacity is evicted
   /// rather than left stale), and the materialized-view catalog (views
   /// over touched predicates are dropped — the tuner rebuilds them).
@@ -234,8 +243,7 @@ class DualStore {
 
   // ---- component access ----------------------------------------------------
 
-  const rdf::Dictionary& dict() const { return dataset_->dict(); }
-  const rdf::Dataset& dataset() const { return *dataset_; }
+  const rdf::Dictionary& dict() const { return *dict_; }
   const relstore::TripleTable& table() const { return table_; }
   const graphstore::PropertyGraph& graph() const { return graph_; }
   const relstore::Executor& executor() const { return executor_; }
@@ -273,7 +281,7 @@ class DualStore {
     return (s != nullptr && s->owner == this) ? s : nullptr;
   }
 
-  rdf::Dataset* dataset_;
+  rdf::Dictionary* dict_;
   DualStoreConfig config_;
   relstore::TripleTable table_;
   graphstore::PropertyGraph graph_;

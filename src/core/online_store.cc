@@ -54,6 +54,9 @@ OnlineStore::OnlineStore(const rdf::Dataset& initial,
                          const DualStoreConfig& config)
     : dataset_(initial.Clone(std::max(1, config.num_shards))) {
   store_ = std::make_unique<DualStore>(&dataset_, config);
+  // The table now holds the triples; the store maintains only the
+  // dictionary, so the clone's list and statistics are dead weight.
+  dataset_.DropTriples();
   FinishConstruction();
 }
 
@@ -76,7 +79,7 @@ OnlineStore::OnlineStore(RestoreTag, rdf::Dataset&& restored,
                          const std::vector<rdf::TermId>& resident_predicates,
                          Status* status)
     : dataset_(std::move(restored)) {
-  store_ = std::make_unique<DualStore>(&dataset_, config,
+  store_ = std::make_unique<DualStore>(&dataset_.mutable_dict(), config,
                                        DualStore::RestoreTag{});
   ByteReader reader(table_payload);
   *status = store_->table_.DeserializeFrom(&reader);
@@ -283,41 +286,41 @@ Result<UpdateResult> OnlineStore::ApplyUpdates(const UpdateBatch& batch,
   }
 
   // ---- Phase III (merge): fold shard meters in shard order, replay
-  // outcomes in op order into the op-order-dependent bookkeeping.
+  // outcomes in op order into the dictionary's refcounts.
   if (n > 1) {
     for (int s = 0; s < n; ++s) {
       if (shard_ops[static_cast<size_t>(s)].empty()) continue;
       m->Merge(shard_meters[static_cast<size_t>(s)]);
     }
   }
-  // Dataset removal is deferred to one stable end-of-batch sweep; a
-  // successful re-insert of a triple deleted earlier in the same batch
-  // cancels against the pending sweep (see DualStore::ApplyUpdates, the
-  // serial reference for this bookkeeping).
-  std::unordered_set<Triple, rdf::TripleHash> pending_removal;
+  // Refcounts follow the outcomes exactly as in DualStore::ApplyUpdates,
+  // the serial reference: an applied insert retains its ids here, an
+  // applied delete releases them after view invalidation.
   std::unordered_set<TermId> touched_predicates;
   for (size_t i = 0; i < num_ops; ++i) {
     if ((outcomes[i] & kOutcomeApplied) == 0) continue;
     const Triple& t = triples[i];
     if (batch.ops[i].kind == UpdateOp::Kind::kInsert) {
-      if (pending_removal.erase(t) == 0) dataset_.Add(t);
+      dict.Retain(t);
       ++res.inserted;
     } else {
-      pending_removal.insert(t);
       ++res.deleted;
     }
     touched_predicates.insert(t.predicate);
     if ((outcomes[i] & kOutcomeGraphMaintained) != 0) ++res.graph_maintained;
   }
-  // Invalidate views BEFORE the dataset sweep: invalidation resolves
-  // predicate text against the dictionary, and a predicate whose last
-  // triple died this batch must still resolve.
+  // Invalidate views BEFORE releasing: invalidation resolves predicate
+  // text against the dictionary, and a predicate whose last triple died
+  // this batch must still resolve.
   if (store_->views_ != nullptr && !touched_predicates.empty()) {
     res.views_dropped =
         store_->views_->InvalidatePredicates(touched_predicates);
   }
-  if (!pending_removal.empty()) {
-    dataset_.RemoveBatch(pending_removal);
+  for (size_t i = 0; i < num_ops; ++i) {
+    if ((outcomes[i] & kOutcomeApplied) != 0 &&
+        batch.ops[i].kind == UpdateOp::Kind::kDelete) {
+      dict.Release(triples[i]);
+    }
   }
 
   Sm().triples_inserted->Add(res.inserted);

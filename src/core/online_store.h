@@ -25,8 +25,9 @@
 ///      batch's first touch. Appliers share no mutable state: outcomes
 ///      land in per-op slots, costs in per-shard meters.
 ///   3. **Merge** (caller thread): fold shard meters in shard order,
-///      replay outcomes in op order into the dataset / pending-removal
-///      bookkeeping, and invalidate stale materialized views.
+///      replay outcomes in op order into the dictionary's refcounts
+///      (retain applied inserts; release applied deletes after stale
+///      materialized views are invalidated).
 ///   4. **Publish + reclaim** (caller thread): capture a new immutable
 ///      `DualStore::Snapshot` (new tree roots, partition pointers, view
 ///      catalog), publish it atomically, advance the epoch, wait for the
@@ -72,7 +73,8 @@ class OnlineStore {
  public:
   /// Builds the store from a clone of `initial` (the source dataset is
   /// only read during construction and is not retained). The clone's
-  /// dictionary is sliced to match `config.num_shards`.
+  /// dictionary is sliced to match `config.num_shards`; its triple list
+  /// and statistics are freed once the table is built.
   OnlineStore(const rdf::Dataset& initial, const DualStoreConfig& config);
 
   /// Durable variant: same construction, plus crash safety rooted at
@@ -216,11 +218,11 @@ class OnlineStore {
   /// Share-nothing predicate shards (= applier threads).
   int num_shards() const { return static_cast<int>(workers_.size()); }
 
-  /// Deterministic storage-tier footprint of the online store: dataset +
-  /// dictionary + index slabs of the single copy it keeps. Quiescent
-  /// only.
+  /// Deterministic storage-tier footprint of the online store: the
+  /// dictionary plus the index slabs of the single copy it keeps.
+  /// Quiescent only.
   uint64_t StorageBytes() const {
-    return dataset_.StorageBytes() + store_->table().IndexBytes();
+    return dataset_.dict().MemoryBytes() + store_->table().IndexBytes();
   }
 
   /// OK unless a failed batch poisoned the store (see `ApplyUpdates`).
@@ -230,9 +232,10 @@ class OnlineStore {
   const EpochManager& epochs() const { return epochs_; }
 
  private:
-  /// Restores from a snapshot instead of bulk-loading: the dataset is
-  /// moved in, the triple table deserialized from its slab image, and the
-  /// graph re-imports the partitions that were resident at save time.
+  /// Restores from a snapshot instead of bulk-loading: the dataset (its
+  /// dictionary only) is moved in, the triple table deserialized from its
+  /// slab image, and the graph re-imports the partitions that were
+  /// resident at save time.
   /// On failure `*status` is set and the appliers never start (the
   /// destructor is safe either way).
   struct RestoreTag {};

@@ -1,6 +1,8 @@
 #include "persist/snapshot.h"
 
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/telemetry.h"
@@ -18,6 +20,36 @@ constexpr size_t kSectionHeader = 4 + 4 + 8;    // id + crc + len
 
 Status Corrupt(const std::string& path, const std::string& what) {
   return Status::IoError(path + ": " + what);
+}
+
+constexpr size_t kPartitionStatsBytes = 3 * sizeof(uint64_t);
+
+/// Restores a dataset section's dictionary into `dict`. Images written
+/// before stores stopped keeping a triple list carry the list and its
+/// partition statistics ahead of the dictionary. The table section holds
+/// the same triples, so the list matters only for its duplicate
+/// occurrences: their references are released, as a fresh load does.
+Status ReadDatasetSection(ByteReader* in, rdf::Dictionary* dict) {
+  uint64_t num_triples = 0;
+  DSKG_RETURN_NOT_OK(in->ReadU64(&num_triples));
+  if (num_triples > in->remaining() / sizeof(rdf::Triple)) {
+    return Status::IoError("dataset image: triple count overflow");
+  }
+  std::vector<rdf::Triple> listed(num_triples);
+  DSKG_RETURN_NOT_OK(
+      in->ReadBytes(listed.data(), num_triples * sizeof(rdf::Triple)));
+  uint64_t num_partitions = 0;
+  DSKG_RETURN_NOT_OK(in->ReadU64(&num_partitions));
+  if (num_partitions > in->remaining() / kPartitionStatsBytes) {
+    return Status::IoError("dataset image: partition count overflow");
+  }
+  DSKG_RETURN_NOT_OK(in->Skip(num_partitions * kPartitionStatsBytes));
+  DSKG_RETURN_NOT_OK(dict->DeserializeFrom(in));
+  std::sort(listed.begin(), listed.end());
+  for (size_t i = 1; i < listed.size(); ++i) {
+    if (listed[i] == listed[i - 1]) dict->Release(listed[i]);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -165,15 +197,19 @@ Status SaveStoreSnapshot(const core::DualStore& store, uint64_t watermark,
   std::string config;
   const core::DualStoreConfig& cfg = store.config();
   PutU32(&config, static_cast<uint32_t>(store.table().num_shards()));
-  PutU32(&config, static_cast<uint32_t>(store.dataset().dict().num_slices()));
+  PutU32(&config, static_cast<uint32_t>(store.dict().num_slices()));
   PutU8(&config, cfg.use_graph ? 1 : 0);
   PutU8(&config, cfg.use_views ? 1 : 0);
   PutU64(&config, cfg.graph_capacity_triples);
   PutU64(&config, cfg.views_budget_rows);
   DSKG_RETURN_NOT_OK(writer.AddSection(kSectionConfig, config));
 
+  // The dataset section keeps its layout with an empty triple list and
+  // empty partition statistics: the table section holds the triples.
   std::string dataset;
-  DSKG_RETURN_NOT_OK(store.dataset().SerializeTo(&dataset));
+  PutU64(&dataset, 0);
+  PutU64(&dataset, 0);
+  DSKG_RETURN_NOT_OK(store.dict().SerializeTo(&dataset));
   DSKG_RETURN_NOT_OK(writer.AddSection(kSectionDataset, dataset));
 
   std::string table;
@@ -230,7 +266,7 @@ Result<LoadedSnapshot> LoadStoreSnapshot(const std::string& path) {
 
   out.dataset = rdf::Dataset(out.dict_slices);
   ByteReader dr(*dataset);
-  DSKG_RETURN_NOT_OK(out.dataset.DeserializeFrom(&dr));
+  DSKG_RETURN_NOT_OK(ReadDatasetSection(&dr, &out.dataset.mutable_dict()));
   if (!dr.AtEnd()) return Corrupt(path, "trailing bytes in dataset section");
 
   out.table_payload = std::move(*table);

@@ -28,7 +28,10 @@
 ///
 /// Sections (ids are part of the format; unknown ids are an error):
 ///   1 config    — shard/slice layout the image depends on
-///   2 dataset   — triples + partition stats + full dictionary image
+///   2 dataset   — triple list + partition stats (both empty: the table
+///                 holds the triples; an older image's list is read only
+///                 to release its duplicates' references) + full
+///                 dictionary image
 ///   3 table     — triple table slab images (all three permutation trees)
 ///   4 residency — predicate ids resident in the graph store
 
@@ -93,8 +96,8 @@ Result<RawSnapshot> ReadSnapshotFile(const std::string& path);
 
 // ---- store-level save/load --------------------------------------------------
 
-/// Serializes `store` (dataset + dictionary, triple table slabs, graph
-/// residency, layout config) at WAL watermark `watermark` into `path`,
+/// Serializes `store` (dictionary, triple table slabs, graph residency,
+/// layout config) at WAL watermark `watermark` into `path`,
 /// routed through `wrap` (null = identity). The caller publishes the file
 /// atomically (temp + rename). Quiescent only: call between batches,
 /// after reclamation. Records `persist.snapshot.save_us` and
@@ -102,9 +105,10 @@ Result<RawSnapshot> ReadSnapshotFile(const std::string& path);
 Status SaveStoreSnapshot(const core::DualStore& store, uint64_t watermark,
                          const std::string& path, const WritableWrapper& wrap);
 
-/// Everything `LoadStoreSnapshot` recovers from one file. The dataset is
-/// fully rebuilt; the table section stays an opaque payload the store
-/// restore path deserializes into its own freshly constructed table.
+/// Everything `LoadStoreSnapshot` recovers from one file. The dataset
+/// holds the restored dictionary and no triples; the table section stays
+/// an opaque payload the store restore path deserializes into its own
+/// freshly constructed table.
 struct LoadedSnapshot {
   uint64_t watermark = 0;
   /// Layout the image was saved under; recovery must match it.

@@ -1,9 +1,6 @@
 #include "rdf/dataset.h"
 
-#include <algorithm>
-#include <type_traits>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 namespace dskg::rdf {
@@ -24,36 +21,22 @@ Triple Dataset::Add(std::string_view s, std::string_view p,
 
 void Dataset::Add(const Triple& t) {
   triples_.push_back(t);
-  dict_->Retain(t.subject);
-  dict_->Retain(t.predicate);
-  dict_->Retain(t.object);
+  dict_->Retain(t);
   PartitionStats& st = partition_stats_[t.predicate];
   st.predicate = t.predicate;
   st.num_triples += 1;
   st.bytes += kBytesPerTriple;
 }
 
-uint64_t Dataset::RemoveBatch(
-    const std::unordered_set<Triple, TripleHash>& batch) {
-  if (batch.empty() || triples_.empty()) return 0;
-  uint64_t removed = 0;
-  auto out = triples_.begin();
-  for (const Triple& t : triples_) {
-    if (batch.find(t) == batch.end()) {
-      *out++ = t;
-      continue;
-    }
-    ++removed;
-    dict_->Release(t.subject);
-    dict_->Release(t.predicate);
-    dict_->Release(t.object);
-    auto st = partition_stats_.find(t.predicate);
-    st->second.num_triples -= 1;
-    st->second.bytes -= kBytesPerTriple;
-    if (st->second.num_triples == 0) partition_stats_.erase(st);
-  }
-  triples_.erase(out, triples_.end());
-  return removed;
+void Dataset::ReleaseDuplicates(const std::vector<Triple>& collapsed) {
+  if (duplicates_released_) return;
+  duplicates_released_ = true;
+  for (const Triple& t : collapsed) dict_->Release(t);
+}
+
+void Dataset::DropTriples() {
+  std::vector<Triple>().swap(triples_);
+  partition_stats_.clear();
 }
 
 Dataset Dataset::Clone(int dict_slices) const {
@@ -107,54 +90,6 @@ std::vector<Triple> Dataset::TriplesWithPredicate(TermId predicate) const {
 
 uint64_t Dataset::EstimatedBytes() const {
   return triples_.size() * kBytesPerTriple + dict_->text_bytes();
-}
-
-// ---- persistence ------------------------------------------------------------
-
-Status Dataset::SerializeTo(std::string* out) const {
-  PutU64(out, triples_.size());
-  static_assert(std::is_trivially_copyable_v<Triple>);
-  PutBytes(out, triples_.data(), triples_.size() * sizeof(Triple));
-  // Sorted by predicate id: the image is deterministic for a given
-  // logical state (golden snapshot fixtures depend on stable bytes).
-  std::vector<std::pair<TermId, PartitionStats>> stats(
-      partition_stats_.begin(), partition_stats_.end());
-  std::sort(stats.begin(), stats.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  PutU64(out, stats.size());
-  for (const auto& [pred, st] : stats) {
-    PutU64(out, pred);
-    PutU64(out, st.num_triples);
-    PutU64(out, st.bytes);
-  }
-  return dict_->SerializeTo(out);
-}
-
-Status Dataset::DeserializeFrom(ByteReader* in) {
-  if (!triples_.empty() || !partition_stats_.empty()) {
-    return Status::FailedPrecondition("dataset restore target is not empty");
-  }
-  uint64_t num_triples = 0;
-  DSKG_RETURN_NOT_OK(in->ReadU64(&num_triples));
-  if (num_triples * sizeof(Triple) > in->remaining()) {
-    return Status::IoError("dataset image: triple count overflow");
-  }
-  triples_.resize(num_triples);
-  DSKG_RETURN_NOT_OK(
-      in->ReadBytes(triples_.data(), num_triples * sizeof(Triple)));
-  uint64_t num_partitions = 0;
-  DSKG_RETURN_NOT_OK(in->ReadU64(&num_partitions));
-  if (num_partitions * 24 > in->remaining()) {
-    return Status::IoError("dataset image: partition count overflow");
-  }
-  for (uint64_t i = 0; i < num_partitions; ++i) {
-    PartitionStats st;
-    DSKG_RETURN_NOT_OK(in->ReadU64(&st.predicate));
-    DSKG_RETURN_NOT_OK(in->ReadU64(&st.num_triples));
-    DSKG_RETURN_NOT_OK(in->ReadU64(&st.bytes));
-    partition_stats_[st.predicate] = st;
-  }
-  return dict_->DeserializeFrom(in);
 }
 
 }  // namespace dskg::rdf

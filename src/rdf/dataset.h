@@ -9,16 +9,20 @@
 /// triples sharing one predicate. Partitions are the unit DOTIL transfers
 /// between the relational and graph stores, so the dataset maintains their
 /// sizes incrementally as triples are added.
+///
+/// The triple list and the statistics describe what was loaded: the
+/// generators, the N-Triples reader and the update-stream generator work
+/// on them. A store built over a dataset (`core::DualStore`) keeps the
+/// triples in its own table and, from then on, maintains only the
+/// dictionary's refcounts; the list and statistics stay as loaded.
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
-#include "common/bytes.h"
 #include "common/status.h"
 #include "rdf/dictionary.h"
 #include "rdf/triple.h"
@@ -54,12 +58,17 @@ class Dataset {
   /// Adds an already-encoded triple. Ids must come from `dict()`.
   void Add(const Triple& t);
 
-  /// Removes every stored occurrence of each triple in `batch` in one
-  /// stable O(|G| + |batch|) sweep, releasing the removed occurrences'
-  /// term ids (terms with no remaining uses are reclaimed — see
-  /// `Dictionary::Release`). Returns the number of occurrences removed.
-  /// The online applier calls this once per update batch.
-  uint64_t RemoveBatch(const std::unordered_set<Triple, TripleHash>& batch);
+  /// Releases the term ids of `collapsed`, the occurrences of triples the
+  /// list holds more than once, which a store loading the list keeps once
+  /// (`TripleTable::BulkLoad` hands them back). Afterwards a refcount
+  /// counts the distinct triples that use the term. Only the first call
+  /// has an effect, so several stores may load one dataset.
+  void ReleaseDuplicates(const std::vector<Triple>& collapsed);
+
+  /// Frees the triple list and the partition statistics, keeping the
+  /// dictionary: a store that owns its dataset calls this once its table
+  /// holds the triples.
+  void DropTriples();
 
   /// Deep copy: a new dataset with its own dictionary (of `dict_slices`
   /// slices), built by re-adding this dataset's triples in insertion
@@ -107,24 +116,12 @@ class Dataset {
     return triples_.size() * sizeof(Triple) + dict_->MemoryBytes();
   }
 
-  // ---- persistence (the snapshot tier) ----------------------------------
-
-  /// Appends the triple list, partition statistics and the dictionary
-  /// image (see `Dictionary::SerializeTo`) to `out`.
-  Status SerializeTo(std::string* out) const;
-
-  /// Restores a `SerializeTo` image into this (freshly constructed)
-  /// dataset. The dictionary's slice count must match construction. The
-  /// image carries the dictionary's refcounts, so triples are restored
-  /// *without* re-retaining their ids — unlike `Add`, this reproduces the
-  /// saved state bit for bit.
-  Status DeserializeFrom(ByteReader* in);
-
  private:
   std::unique_ptr<Dictionary> dict_;
   std::vector<Triple> triples_;
   // Ordered map => AllPartitions() is deterministic without a sort.
   std::map<TermId, PartitionStats> partition_stats_;
+  bool duplicates_released_ = false;
 };
 
 }  // namespace dskg::rdf

@@ -57,7 +57,7 @@ namespace dskg::rdf {
 /// expected in both directions and allocation-free.
 ///
 /// Terms are usage-counted for the online-update path: every stored triple
-/// occurrence `Retain`s its three ids, deletion `Release`s them, and a term
+/// `Retain`s its three ids, deletion `Release`s them, and a term
 /// whose count drops to zero is forgotten — its id joins the free list and
 /// is recycled by the next `Intern` (LIFO, so id assignment is a
 /// deterministic function of the operation sequence). The freed id keeps
@@ -147,7 +147,7 @@ class Dictionary {
     return ToGlobal(sl, local);
   }
 
-  /// Records one usage of `id` (callers: one per triple occurrence).
+  /// Records one usage of `id` (callers: one per triple that uses it).
   void Retain(TermId id) {
     Slice& sl = SliceOf(id);
     const TermId local = ToLocal(id);
@@ -201,6 +201,18 @@ class Dictionary {
       sl.zombies_stage1.clear();
       sl.retired_tables.clear();
     }
+  }
+
+  /// Retains / releases the three ids of one stored triple.
+  void Retain(const Triple& t) {
+    Retain(t.subject);
+    Retain(t.predicate);
+    Retain(t.object);
+  }
+  void Release(const Triple& t) {
+    Release(t.subject);
+    Release(t.predicate);
+    Release(t.object);
   }
 
   /// Current usage count of `id` (0 for unretained or freed ids).

@@ -61,13 +61,16 @@ bool TripleTable::RemoveTriple(const Triple& t, CostMeter* meter) {
   return true;
 }
 
-void TripleTable::BulkLoad(const std::vector<Triple>& triples,
-                           CostMeter* meter, ThreadPool* pool) {
+std::vector<Triple> TripleTable::BulkLoad(const std::vector<Triple>& triples,
+                                          CostMeter* meter, ThreadPool* pool) {
+  std::vector<Triple> collapsed;
   if (size() != 0) {
     // Incremental top-up of a live table: per-key inserts.
     Reserve(size() + triples.size());
-    for (const Triple& t : triples) Insert(t, meter);
-    return;
+    for (const Triple& t : triples) {
+      if (!Insert(t, meter)) collapsed.push_back(t);
+    }
+    return collapsed;
   }
   // Fresh load: sort/unique once, then build each permutation of each
   // sub-shard bottom-up at full leaf occupancy (`BPlusTree::BulkBuild`) —
@@ -89,7 +92,15 @@ void TripleTable::BulkLoad(const std::vector<Triple>& triples,
     encode_keys(0, triples.size());
   }
   std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  size_t unique = 0;
+  for (const Key& k : keys) {
+    if (unique > 0 && k == keys[unique - 1]) {
+      collapsed.push_back(KeyToTriple(Order::kSPO, k));
+    } else {
+      keys[unique++] = k;
+    }
+  }
+  keys.resize(unique);
   const size_t n_shards = shards_.size();
   // Partition the sorted key set by owning sub-shard (order-preserving,
   // so each sub-shard's subset is itself sorted). One shard: pass-through.
@@ -147,6 +158,7 @@ void TripleTable::BulkLoad(const std::vector<Triple>& triples,
   } else {
     for (size_t job = 0; job < n_shards * 4; ++job) run_job(job);
   }
+  return collapsed;
 }
 
 bool TripleTable::Contains(const Triple& t, CostMeter* meter) const {

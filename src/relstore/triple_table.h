@@ -116,14 +116,19 @@ class TripleTable {
   /// identical either way. Into a non-empty table it degrades to
   /// per-triple inserts.
   ///
+  /// Returns the occurrences it did not store, one entry per duplicate
+  /// of a triple already stored or loaded earlier (set semantics). The
+  /// fresh path collects them while it collapses its sorted keys.
+  ///
   /// With a `pool`, the fresh path parallelizes key encoding and the
   /// independent per-sub-shard jobs (each permutation's sort + BulkBuild,
   /// the statistics pass). Every job writes disjoint state and the meter
   /// accumulates in exact integer picoseconds, so the loaded table, its
   /// statistics, and every charge component are bit-identical to the
   /// serial load at every thread count.
-  void BulkLoad(const std::vector<rdf::Triple>& triples, CostMeter* meter,
-                ThreadPool* pool = nullptr);
+  std::vector<rdf::Triple> BulkLoad(const std::vector<rdf::Triple>& triples,
+                                    CostMeter* meter,
+                                    ThreadPool* pool = nullptr);
 
   /// Bytes of the B+-tree node slabs (SPO + POS + OSP, all sub-shards,
   /// including pending-reclaim bookkeeping). Deterministic for a given

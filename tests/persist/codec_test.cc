@@ -10,10 +10,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/bytes.h"
+#include "core/dual_store.h"
 #include "core/update.h"
 #include "persist/crc32c.h"
 #include "persist/file.h"
@@ -347,45 +347,103 @@ TEST(SnapshotCodecTest, EveryByteFlipIsRejected) {
   }
 }
 
-// Dataset (triples + partition stats + dictionary) round-trips through
-// its section image, including interleaved interning and releases.
+// The dataset section carries the dictionary (ids, text, refcounts, the
+// free list) after interleaved interning and releases, and an empty
+// triple list: the table section holds the triples.
 TEST(SnapshotCodecTest, DatasetSectionRoundTrip) {
   rdf::Dataset ds(2);
   ds.Add("s1", "p1", "o1");
   ds.Add("s2", "p1", "o2");
-  const rdf::Triple dead = ds.Add("s3", "p2", "o3");
+  ds.Add("s3", "p2", "o3");
   ds.Add("s4", "p2", "o4");
-  std::unordered_set<rdf::Triple, rdf::TripleHash> kill = {dead};
-  ds.RemoveBatch(kill);
+  core::DualStoreConfig cfg;
+  cfg.num_shards = 2;
+  core::DualStore store(&ds, cfg);
+  UpdateBatch batch;
+  batch.ops.push_back(UpdateOp::Delete("s3", "p2", "o3"));
+  batch.ops.push_back(UpdateOp::Insert("s5", "p1", "o5"));
+  ASSERT_TRUE(store.ApplyUpdates(batch).ok());
 
-  std::string image;
-  ASSERT_TRUE(ds.SerializeTo(&image).ok());
+  const std::string dir = ScratchDir("dataset_section");
+  ASSERT_TRUE(SaveStoreSnapshot(store, 0, dir + "/a.dskg", nullptr).ok());
+  ASSERT_TRUE(SaveStoreSnapshot(store, 0, dir + "/b.dskg", nullptr).ok());
   // Serialization is deterministic: same logical state, same bytes.
-  std::string image2;
-  ASSERT_TRUE(ds.SerializeTo(&image2).ok());
-  EXPECT_EQ(image, image2);
+  auto a = ReadFileToString(dir + "/a.dskg");
+  auto b = ReadFileToString(dir + "/b.dskg");
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(*a, *b);
 
-  rdf::Dataset back(2);
-  ByteReader r(image);
-  ASSERT_TRUE(back.DeserializeFrom(&r).ok());
-  EXPECT_TRUE(r.AtEnd());
-  ASSERT_EQ(back.num_triples(), ds.num_triples());
-  for (size_t i = 0; i < ds.triples().size(); ++i) {
-    EXPECT_EQ(back.triples()[i], ds.triples()[i]);
+  auto loaded = LoadStoreSnapshot(dir + "/a.dskg");
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->dataset.num_triples(), 0u);
+  EXPECT_TRUE(loaded->dataset.AllPartitions().empty());
+  const rdf::Dictionary& want = store.dict();
+  const rdf::Dictionary& got = loaded->dataset.dict();
+  for (const char* term :
+       {"s1", "s2", "s4", "s5", "p1", "p2", "o1", "o2", "o4", "o5"}) {
+    const rdf::TermId id = want.Lookup(term);
+    ASSERT_NE(id, rdf::kInvalidTermId) << term;
+    // Probe index rebuilt: lookups by text resolve to the original ids.
+    EXPECT_EQ(got.Lookup(term), id) << term;
+    EXPECT_EQ(got.TermOf(id), term);
+    EXPECT_EQ(got.RefCount(id), want.RefCount(id)) << term;
   }
-  // The dictionary image preserves ids AND text.
-  for (const rdf::Triple& t : ds.triples()) {
-    EXPECT_EQ(back.dict().TermOf(t.subject), ds.dict().TermOf(t.subject));
-    EXPECT_EQ(back.dict().TermOf(t.predicate), ds.dict().TermOf(t.predicate));
-    EXPECT_EQ(back.dict().TermOf(t.object), ds.dict().TermOf(t.object));
-  }
-  // Probe index rebuilt: lookups by text resolve to the original ids.
-  EXPECT_EQ(back.dict().Lookup("s1"), ds.dict().Lookup("s1"));
-  EXPECT_EQ(back.dict().Lookup("p2"), ds.dict().Lookup("p2"));
+  // Released terms stay forgotten, their ids awaiting reuse.
+  EXPECT_EQ(got.Lookup("s3"), rdf::kInvalidTermId);
+  EXPECT_EQ(got.Lookup("o3"), rdf::kInvalidTermId);
+  EXPECT_EQ(got.free_ids(), want.free_ids());
   // The slice count is part of the image: a mismatched target refuses.
-  rdf::Dataset wrong(3);
-  ByteReader r2(image);
-  EXPECT_FALSE(wrong.DeserializeFrom(&r2).ok());
+  std::string image;
+  ASSERT_TRUE(want.SerializeTo(&image).ok());
+  rdf::Dictionary wrong(3);
+  ByteReader r(image);
+  EXPECT_FALSE(wrong.DeserializeFrom(&r).ok());
+}
+
+// Images written before stores stopped keeping a triple list carry it in
+// the dataset section, with refcounts over every listed occurrence.
+// Loading one drops the references of duplicate occurrences, so the
+// restored refcounts equal a fresh load's.
+TEST(SnapshotCodecTest, OlderImageListReleasesDuplicateReferences) {
+  rdf::Dataset ds(1);
+  const rdf::Triple dup = ds.Add("solo", "p", "o");
+  ds.Add("solo", "p", "o");
+  const rdf::Triple other = ds.Add("s", "p", "o2");
+  std::string legacy;
+  PutU64(&legacy, ds.num_triples());
+  PutBytes(&legacy, ds.triples().data(),
+           ds.num_triples() * sizeof(rdf::Triple));
+  PutU64(&legacy, 1);  // one partition: p
+  PutU64(&legacy, dup.predicate);
+  PutU64(&legacy, ds.num_triples());
+  PutU64(&legacy, 32 * ds.num_triples());
+  ASSERT_TRUE(ds.dict().SerializeTo(&legacy).ok());
+  ASSERT_EQ(ds.dict().RefCount(dup.subject), 2u);
+
+  core::DualStore store(&ds, {});
+  const std::string dir = ScratchDir("older_dataset_section");
+  ASSERT_TRUE(SaveStoreSnapshot(store, 0, dir + "/new.dskg", nullptr).ok());
+  auto raw = ReadSnapshotFile(dir + "/new.dskg");
+  ASSERT_TRUE(raw.ok()) << raw.status();
+  auto f = OpenWritable(dir + "/old.dskg", /*truncate=*/true);
+  ASSERT_TRUE(f.ok());
+  SnapshotWriter w(std::move(*f));
+  for (const auto& [id, payload] : raw->sections) {
+    ASSERT_TRUE(
+        w.AddSection(id, id == kSectionDataset ? legacy : payload).ok());
+  }
+  ASSERT_TRUE(w.Finish(raw->watermark).ok());
+
+  auto loaded = LoadStoreSnapshot(dir + "/old.dskg");
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const rdf::Dictionary& got = loaded->dataset.dict();
+  EXPECT_EQ(got.RefCount(dup.subject), 1u);
+  EXPECT_EQ(got.RefCount(dup.object), 1u);
+  EXPECT_EQ(got.RefCount(dup.predicate), 2u);  // two stored triples
+  for (const rdf::TermId id : {dup.subject, dup.predicate, dup.object,
+                               other.subject, other.object}) {
+    EXPECT_EQ(got.RefCount(id), store.dict().RefCount(id)) << id;
+  }
 }
 
 // ---- fault injection harness ----------------------------------------------

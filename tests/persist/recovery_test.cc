@@ -239,6 +239,42 @@ TEST(RecoveryTest, ReplayIsIdempotent) {
   EXPECT_EQ(store.next_batch_id(), 4u);
 }
 
+// The store keeps one copy of each triple, the table's index
+// permutations, plus the dictionary: nothing else counts toward its
+// footprint after a load, after a batch, or after recovering the golden
+// fixture, an image whose dataset section still carries a triple list.
+TEST(RecoveryTest, StorageBytesAreDictionaryPlusIndexes) {
+  const auto expect_split = [](const OnlineStore& store) {
+    EXPECT_EQ(store.StorageBytes(), store.active().dict().MemoryBytes() +
+                                        store.active().table().IndexBytes());
+  };
+  Fixture f = MakeFixture(/*num_shards=*/2);
+  OnlineStore store(f.dataset, f.config);
+  expect_split(store);
+  ASSERT_TRUE(store.ApplyUpdates(f.log.at(0)).ok());
+  expect_split(store);
+
+  // Recover from a copy: recovery checkpoints into its directory, and the
+  // committed fixture must stay pristine.
+  const std::filesystem::path golden =
+      std::filesystem::path(__FILE__).parent_path() / "golden";
+  ASSERT_TRUE(std::filesystem::is_directory(golden)) << golden;
+  DurabilityOptions opts;
+  opts.dir = ScratchDir("golden_copy");
+  std::filesystem::create_directories(opts.dir);
+  for (const auto& entry : std::filesystem::directory_iterator(golden)) {
+    std::filesystem::copy_file(
+        entry.path(), std::filesystem::path(opts.dir) / entry.path().filename());
+  }
+  DualStoreConfig golden_cfg;  // the fixture's layout
+  golden_cfg.num_shards = 1;
+  golden_cfg.graph_capacity_triples = 64;
+  auto recovered = OnlineStore::Recover(golden_cfg, opts);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ((*recovered)->active().table().size(), 46u);
+  expect_split(**recovered);
+}
+
 TEST(RecoveryTest, MidLogCorruptionReportsAndKeepsPrefix) {
   Fixture f = MakeFixture(/*num_shards=*/1);
   DurabilityOptions opts;
