@@ -468,6 +468,16 @@ TEST(RefCountTest, DeletingATripleLoadedTwiceForgetsItsSubject) {
   }
 }
 
+TEST(RefCountTest, StoresSharingADatasetReleaseItsDuplicatesOnce) {
+  rdf::Dataset ds = testing::SmallPeopleGraph();
+  ds.Add("solo", "likes", "film1");
+  ds.Add("solo", "likes", "film1");
+  DualStore first(&ds, {});
+  DualStore second(&ds, {});
+  EXPECT_EQ(ds.dict().RefCount(ds.dict().Lookup("solo")), 1u);
+  EXPECT_EQ(second.table().size(), 15u);
+}
+
 // ---- OnlineStore: snapshot equivalence under concurrency ------------------
 
 std::vector<Query> SmallQueries() {
