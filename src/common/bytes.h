@@ -106,9 +106,10 @@ class ByteReader {
     return Status::OK();
   }
 
+  /// `dst` may be null when `n` is 0 (an empty vector's data()).
   Status ReadBytes(void* dst, size_t n) {
     DSKG_RETURN_NOT_OK(Need(n));
-    std::memcpy(dst, data_.data() + pos_, n);
+    if (n > 0) std::memcpy(dst, data_.data() + pos_, n);
     pos_ += n;
     return Status::OK();
   }
