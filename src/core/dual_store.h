@@ -147,10 +147,11 @@ class DualStore {
   /// structure of this store at once: the dictionary's usage counts
   /// (an applied insert retains its three ids, an applied delete releases
   /// them once the batch's views are invalidated), the triple table with
-  /// its three index permutations and per-predicate statistics, resident graph-store partitions (edges
-  /// maintained in place; a partition that overflows capacity is evicted
-  /// rather than left stale), and the materialized-view catalog (views
-  /// over touched predicates are dropped — the tuner rebuilds them).
+  /// its three index permutations and per-predicate statistics, resident
+  /// graph-store partitions (edges maintained in place; a partition that
+  /// overflows capacity is evicted rather than left stale), and the
+  /// materialized-view catalog (views over touched predicates are dropped
+  /// — the tuner rebuilds them).
   /// Inserting a stored triple and deleting an absent one are no-ops.
   ///
   /// Single-applier: must not run concurrently with queries on THIS
