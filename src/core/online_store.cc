@@ -26,6 +26,7 @@ struct StoreMetrics {
   telemetry::Counter* cow_nodes_retired;
   telemetry::Counter* cow_nodes_reclaimed;
   telemetry::Gauge* cow_pending_nodes;
+  telemetry::Gauge* graph_bytes;
   telemetry::Histogram* inject_route_us;
   telemetry::Histogram* merge_barrier_us;
   telemetry::Histogram* epoch_drain_us;
@@ -41,6 +42,7 @@ const StoreMetrics& Sm() {
                         reg.counter("store.cow.nodes_retired"),
                         reg.counter("store.cow.nodes_reclaimed"),
                         reg.gauge("store.cow.pending_nodes"),
+                        reg.gauge("graph.bytes"),
                         reg.histogram("store.inject_route_us"),
                         reg.histogram("store.merge_barrier_us"),
                         reg.histogram("store.epoch_drain_us")};
@@ -436,6 +438,7 @@ void OnlineStore::PublishAndReclaim() {
     Sm().cow_nodes_reclaimed->Add(reclaimed);
     Sm().cow_pending_nodes->Set(
         static_cast<double>(store_->table_.PendingNodes()));
+    Sm().graph_bytes->Set(static_cast<double>(store_->graph_.MemoryBytes()));
   }
 }
 

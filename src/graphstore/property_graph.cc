@@ -129,6 +129,25 @@ uint64_t PropertyGraph::used_triples() const {
   return used_.load(std::memory_order_relaxed);
 }
 
+uint64_t PropertyGraph::MemoryBytes() const {
+  using Adjacency = std::unordered_map<TermId, std::vector<TermId>>;
+  const auto adjacency_bytes = [](const Adjacency& adj) {
+    uint64_t b = adj.bucket_count() * sizeof(void*) +
+                 adj.size() * (sizeof(void*) + sizeof(Adjacency::value_type));
+    for (const auto& [v, list] : adj) b += list.capacity() * sizeof(TermId);
+    return b;
+  };
+  uint64_t bytes = 0;
+  for (const Shard& sh : shards_) {
+    for (const auto& [p, part] : sh.partitions) {
+      bytes += sizeof(Partition) +
+               part->edges.capacity() * sizeof(part->edges[0]) +
+               adjacency_bytes(part->out) + adjacency_bytes(part->in);
+    }
+  }
+  return bytes;
+}
+
 uint64_t PropertyGraph::FreeTriples() const {
   if (capacity_triples_ == 0) {
     return std::numeric_limits<uint64_t>::max();

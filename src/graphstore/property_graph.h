@@ -113,6 +113,11 @@ class PropertyGraph {
 
   uint64_t used_triples() const;
   uint64_t capacity_triples() const { return capacity_triples_; }
+
+  /// Heap bytes the live partitions hold: container capacities and node
+  /// payloads, not allocator overhead. Retired copies awaiting the drain
+  /// are not counted. Quiescent only.
+  uint64_t MemoryBytes() const;
   /// Remaining capacity in triples (max value when unlimited).
   uint64_t FreeTriples() const;
 

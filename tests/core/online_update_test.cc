@@ -571,7 +571,8 @@ TEST(OnlineEquivalenceTest, RandomizedYagoStream) {
 
   DualStoreConfig cfg;
   cfg.graph_capacity_triples = ds.num_triples();  // roomy: no eviction noise
-  RunConcurrentEquivalence(ds, cfg, queries, log, {"y:wasBornIn"});
+  RunConcurrentEquivalence(ds, cfg, queries, log,
+                           {"y:wasBornIn", "y:actedIn", "y:hasGenre"});
 }
 
 // Cross-shard fan-in: one batch whose ops span predicates owned by
