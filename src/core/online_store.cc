@@ -27,6 +27,7 @@ struct StoreMetrics {
   telemetry::Counter* cow_nodes_reclaimed;
   telemetry::Gauge* cow_pending_nodes;
   telemetry::Gauge* graph_bytes;
+  telemetry::Counter* graph_chunks_cloned;
   telemetry::Histogram* inject_route_us;
   telemetry::Histogram* merge_barrier_us;
   telemetry::Histogram* epoch_drain_us;
@@ -43,6 +44,7 @@ const StoreMetrics& Sm() {
                         reg.counter("store.cow.nodes_reclaimed"),
                         reg.gauge("store.cow.pending_nodes"),
                         reg.gauge("graph.bytes"),
+                        reg.counter("graph.cow.chunks_cloned"),
                         reg.histogram("store.inject_route_us"),
                         reg.histogram("store.merge_barrier_us"),
                         reg.histogram("store.epoch_drain_us")};
@@ -109,9 +111,9 @@ OnlineStore::OnlineStore(RestoreTag, rdf::Dataset&& restored,
 
 void OnlineStore::FinishConstruction() {
   // Flip every component into online mode: tree writes copy root-to-leaf
-  // paths instead of mutating shared nodes, graph partitions clone on
-  // first touch, dropped views and released dictionary ids are retired
-  // until the epoch drain instead of destroyed.
+  // paths instead of mutating shared nodes, graph partitions and chunks
+  // are copied on first touch, dropped views and released dictionary ids
+  // are retired until the epoch drain instead of destroyed.
   store_->table_.SetCopyOnWrite(true);
   store_->graph_.SetDeferredReclaim(true);
   if (store_->views_ != nullptr) store_->views_->SetDeferredReclaim(true);
@@ -369,8 +371,10 @@ Status OnlineStore::ApplyShard(int shard, const std::vector<ShardOp>& ops,
   const double wall0 = telem ? reg.NowMicros() : 0;
   const uint64_t clones0 = telem ? table.CowClonesOf(shard) : 0;
   const uint64_t pending0 = telem ? table.PendingNodesOf(shard) : 0;
-  // New copy-on-write batch: the first touch of any tree node or graph
-  // partition reachable from the published snapshot clones it.
+  const uint64_t chunks0 = telem ? graph.CowChunksClonedOf(shard) : 0;
+  // New copy-on-write batch: the first touch of any tree node, graph
+  // partition or graph chunk reachable from the published snapshot
+  // copies it.
   table.BeginShardBatch(shard);
   graph.BeginShardBatch(shard);
   for (const ShardOp& op : ops) {
@@ -406,6 +410,7 @@ Status OnlineStore::ApplyShard(int shard, const std::vector<ShardOp>& ops,
         reg.NowMicros() - wall0);
     Sm().cow_nodes_cloned->Add(table.CowClonesOf(shard) - clones0);
     Sm().cow_nodes_retired->Add(table.PendingNodesOf(shard) - pending0);
+    Sm().graph_chunks_cloned->Add(graph.CowChunksClonedOf(shard) - chunks0);
   }
   return Status::OK();
 }
@@ -420,9 +425,10 @@ void OnlineStore::PublishAndReclaim() {
   const uint64_t retired_epoch = epochs_.Advance();
   // Wait for every reader that may still observe the retired snapshot,
   // then free what only it could reach: the snapshot object itself,
-  // copied-over tree nodes, cloned-over graph partitions, dropped views,
-  // and dictionary ids released by the batch (their two-stage
-  // reclamation keeps ids resolvable for exactly one more snapshot).
+  // copied-over tree nodes, cloned-over graph partitions and chunks,
+  // dropped views, and dictionary ids released by the batch (their
+  // two-stage reclamation keeps ids resolvable for exactly one more
+  // snapshot).
   const double drain0 = telem ? reg.NowMicros() : 0;
   epochs_.WaitUntilDrained(retired_epoch);
   if (telem) Sm().epoch_drain_us->Record(reg.NowMicros() - drain0);

@@ -219,18 +219,18 @@ Result<BindingTable> TraversalMatcher::MatchSharded(
   if (s_bound) {
     root.mode = Cursor::Frame::kOut;
     root.nbrs = graph_->OutNeighbors(p0.subject.constant, p0.predicate);
+    root.end_idx = root.nbrs.size();
     root.has_o = o_bound;
     root.o_val = p0.object.constant;
   } else if (o_bound) {
     root.mode = Cursor::Frame::kIn;
     root.nbrs = graph_->InNeighbors(p0.object.constant, p0.predicate);
+    root.end_idx = root.nbrs.size();
   } else {
-    root.mode = Cursor::Frame::kEdges;
-    root.edges = &graph_->Edges(p0.predicate);
+    root.mode = Cursor::Frame::kWalk;
+    root.end_idx = graph_->PartitionTriples(p0.predicate);
   }
-  const size_t count = root.mode == Cursor::Frame::kEdges
-                           ? root.edges->size()
-                           : (root.nbrs == nullptr ? 0 : root.nbrs->size());
+  const size_t count = root.end_idx;
   const size_t num_shards =
       std::min<size_t>(static_cast<size_t>(max_shards), count);
   if (num_shards <= 1) return DrainSerial(plan, param_values, meter);
@@ -266,6 +266,9 @@ Result<BindingTable> TraversalMatcher::MatchSharded(
     Cursor::Frame f = root;
     f.idx = s * base + std::min(s, extra);
     f.end_idx = (s + 1) * base + std::min(s + 1, extra);
+    if (f.mode == Cursor::Frame::kWalk) {
+      f.walk = graph_->WalkEdges(p0.predicate, f.idx);
+    }
     c.stack_.push_back(f);
     c.descend_ = false;  // resume mid-frame at the shard's first candidate
     out.table.columns = proto.out_vars_;
@@ -373,18 +376,21 @@ Status TraversalMatcher::Cursor::Fill(BindingTable* out, size_t max_rows,
         meter_->Add(Op::kNodeLookup);
         f.mode = Frame::kOut;
         f.nbrs = graph_->OutNeighbors(s_val, p.predicate);
+        f.end_idx = f.nbrs.size();
         f.has_o = o_bound;
         f.o_val = o_val;
-        if (f.nbrs == nullptr) continue;  // no expansion: return OK upward
+        if (f.nbrs.empty()) continue;  // no expansion: return OK upward
       } else if (o_bound) {
         meter_->Add(Op::kNodeLookup);
         f.mode = Frame::kIn;
         f.nbrs = graph_->InNeighbors(o_val, p.predicate);
-        if (f.nbrs == nullptr) continue;
+        f.end_idx = f.nbrs.size();
+        if (f.nbrs.empty()) continue;
       } else {
-        // Both endpoints unbound: seed from the partition's edge list.
-        f.mode = Frame::kEdges;
-        f.edges = &graph_->Edges(p.predicate);
+        // Both endpoints unbound: seed from the partition's edge walk.
+        f.mode = Frame::kWalk;
+        f.walk = graph_->WalkEdges(p.predicate, 0);
+        f.end_idx = graph_->PartitionTriples(p.predicate);
       }
       stack_.push_back(f);
       continue;
@@ -410,15 +416,12 @@ Status TraversalMatcher::Cursor::Fill(BindingTable* out, size_t max_rows,
       }
     }
 
-    const size_t count = std::min(
-        f.mode == Frame::kEdges ? f.edges->size() : f.nbrs->size(),
-        f.end_idx);
     bool advanced = false;
-    while (f.idx < count) {
+    while (f.idx < f.end_idx) {
       const size_t i = f.idx++;
       meter_->Add(Op::kAdjExpandEdge);
       if (f.mode == Frame::kOut) {
-        const TermId nbr = (*f.nbrs)[i];
+        const TermId nbr = f.nbrs[i];
         if (f.has_o) {
           meter_->Add(Op::kBindCheck);
           if (nbr != f.o_val) continue;  // mismatch: next neighbor directly
@@ -432,13 +435,15 @@ Status TraversalMatcher::Cursor::Fill(BindingTable* out, size_t max_rows,
           if (Bind(p.object, nbr)) descend_ = true;
         }
       } else if (f.mode == Frame::kIn) {
-        const TermId nbr = (*f.nbrs)[i];
+        const TermId nbr = f.nbrs[i];
         f.mark = trail_.size();
         f.post_pending = true;
         f.did_bind = true;
         if (Bind(p.subject, nbr)) descend_ = true;
       } else {
-        const auto& [es, eo] = (*f.edges)[i];
+        TermId es = rdf::kInvalidTermId;
+        TermId eo = rdf::kInvalidTermId;
+        f.walk.Next(&es, &eo);
         f.mark = trail_.size();
         f.post_pending = true;
         f.did_bind = true;

@@ -29,6 +29,7 @@
 /// resident in the graph store; the dual-store query processor is
 /// responsible for routing (Algorithm 3).
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -119,16 +120,19 @@ class TraversalMatcher {
     friend class TraversalMatcher;
     Cursor() = default;
 
+    /// One DFS step: the candidates of one pattern, expanded one at a
+    /// time. `idx` counts the candidates taken so far.
     struct Frame {
-      enum Mode { kOut, kIn, kEdges };
+      /// kOut / kIn expand a bound vertex's neighbour list; kWalk seeds a
+      /// step with both ends unbound from the partition's edge walk.
+      enum Mode { kOut, kIn, kWalk };
       Mode mode = kOut;
-      const std::vector<rdf::TermId>* nbrs = nullptr;  // kOut / kIn
-      const std::vector<std::pair<rdf::TermId, rdf::TermId>>* edges =
-          nullptr;  // kEdges
+      std::span<const rdf::TermId> nbrs;  // kOut / kIn: the list
+      PropertyGraph::EdgeWalk walk;       // kWalk: positioned at `idx`
       size_t idx = 0;
-      /// Exclusive candidate bound for sharded root frames; untouched
-      /// (no-op clamp) on the serial path.
-      size_t end_idx = static_cast<size_t>(-1);
+      /// Exclusive candidate bound: the list's or partition's size, or a
+      /// sharded root frame's sub-range end.
+      size_t end_idx = 0;
       bool has_o = false;            // kOut: object already resolved
       rdf::TermId o_val = rdf::kInvalidTermId;
       size_t mark = 0;               // trail mark of the in-flight branch

@@ -1,6 +1,7 @@
 #include "graphstore/property_graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -8,6 +9,18 @@ namespace dskg::graphstore {
 
 using rdf::TermId;
 using rdf::Triple;
+
+namespace {
+
+constexpr uint64_t kChunkMask = 63;
+
+}  // namespace
+
+PropertyGraph::Partition::~Partition() {
+  if (!owns_chunks) return;
+  for (Chunk* c : out) delete c;
+  for (Chunk* c : in) delete c;
+}
 
 Status PropertyGraph::ImportPartition(TermId predicate,
                                       const std::vector<Triple>& triples,
@@ -31,10 +44,17 @@ Status PropertyGraph::ImportPartition(TermId predicate,
         std::to_string(used_.load(std::memory_order_relaxed)) + " used)");
   }
   auto part = std::make_unique<Partition>();
+  std::vector<std::pair<TermId, TermId>> pairs;
+  pairs.reserve(triples.size());
   for (const Triple& t : triples) {
-    AddEdge(part.get(), t.subject, t.object);
+    pairs.emplace_back(t.subject, t.object);
     if (meter != nullptr) meter->Add(Op::kImportTriple);
   }
+  part->chunk_bytes = BuildDirectory(&pairs, sh.batch, &part->out);
+  pairs.clear();
+  for (const Triple& t : triples) pairs.emplace_back(t.object, t.subject);
+  part->chunk_bytes += BuildDirectory(&pairs, sh.batch, &part->in);
+  part->triples = triples.size();
   sh.partitions.emplace(predicate, std::move(part));
   if (deferred_) sh.fresh.insert(predicate);
   return Status::OK();
@@ -47,12 +67,13 @@ Status PropertyGraph::EvictPartition(TermId predicate, CostMeter* meter) {
     return Status::NotFound("partition " + std::to_string(predicate) +
                             " not resident");
   }
-  const uint64_t n = it->second->edges.size();
+  const uint64_t n = it->second->triples;
   if (meter != nullptr) meter->Add(Op::kEvictTriple, n);
   used_.fetch_sub(n, std::memory_order_relaxed);
   if (deferred_) {
     // A published snapshot may still traverse the partition: keep the
-    // object alive until the shard's post-drain reclamation.
+    // object (and the chunks it owns) alive until the shard's post-drain
+    // reclamation.
     sh.retired.push_back(std::move(it->second));
     sh.fresh.erase(predicate);
   }
@@ -62,8 +83,7 @@ Status PropertyGraph::EvictPartition(TermId predicate, CostMeter* meter) {
 
 Status PropertyGraph::InsertTriple(const Triple& t, CostMeter* meter) {
   Shard& sh = shards_[static_cast<size_t>(ShardOf(t.predicate))];
-  Partition* part = Own(&sh, t.predicate);
-  if (part == nullptr) {
+  if (sh.partitions.find(t.predicate) == sh.partitions.end()) {
     return Status::NotFound("partition " + std::to_string(t.predicate) +
                             " not resident; single inserts only extend "
                             "loaded partitions");
@@ -71,35 +91,30 @@ Status PropertyGraph::InsertTriple(const Triple& t, CostMeter* meter) {
   if (!TryReserve(1)) {
     return Status::CapacityExceeded("graph store is full");
   }
-  AddEdge(part, t.subject, t.object);
+  Partition* part = Own(&sh, t.predicate);
+  Link(&sh, part, &part->out, t.subject, t.object);
+  Link(&sh, part, &part->in, t.object, t.subject);
+  ++part->triples;
   if (meter != nullptr) meter->Add(Op::kImportTriple);
   return Status::OK();
 }
 
 Status PropertyGraph::RemoveTriple(const Triple& t, CostMeter* meter) {
   Shard& sh = shards_[static_cast<size_t>(ShardOf(t.predicate))];
-  Partition* part = Own(&sh, t.predicate);
-  if (part == nullptr) {
+  const auto it = sh.partitions.find(t.predicate);
+  if (it == sh.partitions.end()) {
     return Status::NotFound("partition " + std::to_string(t.predicate) +
                             " not resident");
   }
-  auto edge = std::find(part->edges.begin(), part->edges.end(),
-                        std::make_pair(t.subject, t.object));
-  if (edge == part->edges.end()) {
+  const std::span<const TermId> out = ListOf(it->second->out, t.subject);
+  if (!std::binary_search(out.begin(), out.end(), t.object)) {
     return Status::NotFound("edge not present in partition " +
                             std::to_string(t.predicate));
   }
-  part->edges.erase(edge);  // first occurrence; order preserved
-  auto drop_one = [](std::unordered_map<TermId, std::vector<TermId>>* adj,
-                     TermId v, TermId neighbor) {
-    auto vit = adj->find(v);
-    if (vit == adj->end()) return;
-    auto nit = std::find(vit->second.begin(), vit->second.end(), neighbor);
-    if (nit != vit->second.end()) vit->second.erase(nit);
-    if (vit->second.empty()) adj->erase(vit);
-  };
-  drop_one(&part->out, t.subject, t.object);
-  drop_one(&part->in, t.object, t.subject);
+  Partition* part = Own(&sh, t.predicate);
+  Unlink(&sh, part, &part->out, t.subject, t.object);
+  Unlink(&sh, part, &part->in, t.object, t.subject);
+  --part->triples;
   used_.fetch_sub(1, std::memory_order_relaxed);
   if (meter != nullptr) meter->Add(Op::kEvictTriple);
   return Status::OK();
@@ -121,7 +136,7 @@ std::vector<TermId> PropertyGraph::LoadedPredicates() const {
 
 uint64_t PropertyGraph::PartitionTriples(TermId predicate) const {
   const Partition* part = Find(predicate);
-  return part == nullptr ? 0 : part->edges.size();
+  return part == nullptr ? 0 : part->triples;
 }
 
 uint64_t PropertyGraph::used_triples() const {
@@ -130,19 +145,12 @@ uint64_t PropertyGraph::used_triples() const {
 }
 
 uint64_t PropertyGraph::MemoryBytes() const {
-  using Adjacency = std::unordered_map<TermId, std::vector<TermId>>;
-  const auto adjacency_bytes = [](const Adjacency& adj) {
-    uint64_t b = adj.bucket_count() * sizeof(void*) +
-                 adj.size() * (sizeof(void*) + sizeof(Adjacency::value_type));
-    for (const auto& [v, list] : adj) b += list.capacity() * sizeof(TermId);
-    return b;
-  };
   uint64_t bytes = 0;
   for (const Shard& sh : shards_) {
     for (const auto& [p, part] : sh.partitions) {
       bytes += sizeof(Partition) +
-               part->edges.capacity() * sizeof(part->edges[0]) +
-               adjacency_bytes(part->out) + adjacency_bytes(part->in);
+               (part->out.capacity() + part->in.capacity()) * sizeof(Chunk*) +
+               part->chunk_bytes;
     }
   }
   return bytes;
@@ -155,27 +163,75 @@ uint64_t PropertyGraph::FreeTriples() const {
   return capacity_triples_ - used_triples();
 }
 
-const std::vector<TermId>* PropertyGraph::OutNeighbors(
-    TermId v, TermId predicate) const {
+std::span<const TermId> PropertyGraph::OutNeighbors(TermId v,
+                                                    TermId predicate) const {
   const Partition* part = Find(predicate);
-  if (part == nullptr) return nullptr;
-  auto vit = part->out.find(v);
-  return vit == part->out.end() ? nullptr : &vit->second;
+  return part == nullptr ? std::span<const TermId>() : ListOf(part->out, v);
 }
 
-const std::vector<TermId>* PropertyGraph::InNeighbors(
-    TermId v, TermId predicate) const {
+std::span<const TermId> PropertyGraph::InNeighbors(TermId v,
+                                                   TermId predicate) const {
   const Partition* part = Find(predicate);
-  if (part == nullptr) return nullptr;
-  auto vit = part->in.find(v);
-  return vit == part->in.end() ? nullptr : &vit->second;
+  return part == nullptr ? std::span<const TermId>() : ListOf(part->in, v);
 }
 
-const std::vector<std::pair<TermId, TermId>>& PropertyGraph::Edges(
-    TermId predicate) const {
-  static const std::vector<std::pair<TermId, TermId>> kEmpty;
+std::span<const TermId> PropertyGraph::ListOf(const Directory& dir,
+                                              TermId v) {
+  const uint64_t slot = v >> kChunkBits;
+  if (slot >= dir.size() || dir[slot] == nullptr) return {};
+  const Chunk& c = *dir[slot];
+  const uint64_t bit = uint64_t{1} << (v & kChunkMask);
+  if ((c.present & bit) == 0) return {};
+  const int rank = std::popcount(c.present & (bit - 1));
+  return {c.nbrs.data() + c.offsets[rank],
+          c.offsets[rank + 1] - c.offsets[rank]};
+}
+
+PropertyGraph::EdgeWalk PropertyGraph::WalkEdges(TermId predicate,
+                                                 uint64_t start) const {
+  EdgeWalk w;
   const Partition* part = Find(predicate);
-  return part == nullptr ? kEmpty : part->edges;
+  if (part == nullptr) return w;
+  w.dir_ = part->in.data();
+  w.slots_ = part->in.size();
+  for (w.slot_ = 0; w.slot_ < w.slots_; ++w.slot_) {
+    const Chunk* c = w.dir_[w.slot_];
+    if (c == nullptr) continue;
+    if (start >= c->nbrs.size()) {
+      start -= c->nbrs.size();
+      continue;
+    }
+    w.pos_ = static_cast<uint32_t>(start);
+    // The list holding edge `start`: the last offset at or below it.
+    w.list_ = static_cast<uint32_t>(
+        std::upper_bound(c->offsets.begin(), c->offsets.end(), w.pos_) -
+        c->offsets.begin() - 1);
+    w.rest_ = c->present;
+    for (uint32_t i = 0; i < w.list_; ++i) w.rest_ &= w.rest_ - 1;
+    break;
+  }
+  return w;
+}
+
+void PropertyGraph::EdgeWalk::Next(TermId* subject, TermId* object) {
+  const Chunk& c = *dir_[slot_];
+  *object = (static_cast<TermId>(slot_) << kChunkBits) |
+            static_cast<TermId>(std::countr_zero(rest_));
+  *subject = c.nbrs[pos_];
+  ++pos_;
+  if (pos_ < c.offsets[list_ + 1]) return;
+  // The list is done (lists are never empty): step to the next one, or
+  // to the next chunk (a resident chunk always holds a list).
+  ++list_;
+  rest_ &= rest_ - 1;
+  if (rest_ != 0) return;
+  do {
+    ++slot_;
+  } while (slot_ < slots_ && dir_[slot_] == nullptr);
+  if (slot_ == slots_) return;
+  pos_ = 0;
+  list_ = 0;
+  rest_ = dir_[slot_]->present;
 }
 
 const PropertyGraph::Partition* PropertyGraph::Find(TermId predicate) const {
@@ -195,13 +251,127 @@ PropertyGraph::Partition* PropertyGraph::Own(Shard* sh, TermId predicate) {
   auto it = sh->partitions.find(predicate);
   if (it == sh->partitions.end()) return nullptr;
   if (!deferred_ || sh->fresh.count(predicate) != 0) return it->second.get();
-  // Batch's first touch of a published partition: mutate a clone, retire
-  // the original until the drain proves its snapshot readers finished.
-  auto clone = std::make_unique<Partition>(*it->second);
+  // Batch's first touch of a published partition: the clone copies the
+  // two directories and shares every chunk; `WritableChunk` copies a
+  // chunk on its first touch. The original, retired until the drain
+  // proves its snapshot readers finished, no longer owns the chunks.
+  auto clone = std::make_unique<Partition>();
+  clone->out = it->second->out;
+  clone->in = it->second->in;
+  clone->triples = it->second->triples;
+  clone->chunk_bytes = it->second->chunk_bytes;
   sh->retired.push_back(std::move(it->second));
+  sh->retired.back()->owns_chunks = false;
   it->second = std::move(clone);
   sh->fresh.insert(predicate);
   return it->second.get();
+}
+
+PropertyGraph::Chunk* PropertyGraph::WritableChunk(Shard* sh,
+                                                   Partition* part,
+                                                   Directory* dir,
+                                                   size_t slot) {
+  if (slot >= dir->size()) dir->resize(slot + 1, nullptr);
+  Chunk*& c = (*dir)[slot];
+  if (c == nullptr) {
+    auto made = std::make_unique<Chunk>();
+    made->offsets.push_back(0);
+    made->batch = sh->batch;
+    part->chunk_bytes += ChunkBytes(*made);
+    c = made.release();
+  } else if (deferred_ && c->batch != sh->batch) {
+    // First touch this batch of a chunk a snapshot may read: mutate a
+    // copy, retire the original until the drain. The copy has room for
+    // the one entry the touching op usually adds.
+    auto copy = std::make_unique<Chunk>();
+    copy->present = c->present;
+    copy->batch = sh->batch;
+    copy->offsets.reserve(c->offsets.size() + 1);
+    copy->offsets.assign(c->offsets.begin(), c->offsets.end());
+    copy->nbrs.reserve(c->nbrs.size() + 1);
+    copy->nbrs.assign(c->nbrs.begin(), c->nbrs.end());
+    part->chunk_bytes += ChunkBytes(*copy);
+    part->chunk_bytes -= ChunkBytes(*c);
+    sh->retired_chunks.emplace_back(c);
+    c = copy.release();
+    ++sh->chunks_cloned;
+  }
+  return c;
+}
+
+void PropertyGraph::Link(Shard* sh, Partition* part, Directory* dir,
+                         TermId v, TermId nbr) {
+  Chunk* c = WritableChunk(sh, part, dir, v >> kChunkBits);
+  part->chunk_bytes -= ChunkBytes(*c);
+  const uint64_t bit = uint64_t{1} << (v & kChunkMask);
+  const size_t rank = std::popcount(c->present & (bit - 1));
+  if ((c->present & bit) == 0) {
+    // A new, empty list at `rank`: repeat its start offset.
+    c->offsets.insert(c->offsets.begin() + rank, c->offsets[rank]);
+    c->present |= bit;
+  }
+  const auto first = c->nbrs.begin() + c->offsets[rank];
+  const auto last = c->nbrs.begin() + c->offsets[rank + 1];
+  c->nbrs.insert(std::upper_bound(first, last, nbr), nbr);
+  for (size_t i = rank + 1; i < c->offsets.size(); ++i) ++c->offsets[i];
+  part->chunk_bytes += ChunkBytes(*c);
+}
+
+void PropertyGraph::Unlink(Shard* sh, Partition* part, Directory* dir,
+                           TermId v, TermId nbr) {
+  const size_t slot = v >> kChunkBits;
+  Chunk* c = WritableChunk(sh, part, dir, slot);
+  part->chunk_bytes -= ChunkBytes(*c);
+  const uint64_t bit = uint64_t{1} << (v & kChunkMask);
+  const size_t rank = std::popcount(c->present & (bit - 1));
+  const auto first = c->nbrs.begin() + c->offsets[rank];
+  const auto last = c->nbrs.begin() + c->offsets[rank + 1];
+  c->nbrs.erase(std::lower_bound(first, last, nbr));
+  for (size_t i = rank + 1; i < c->offsets.size(); ++i) --c->offsets[i];
+  if (c->offsets[rank] == c->offsets[rank + 1]) {
+    c->offsets.erase(c->offsets.begin() + rank + 1);
+    c->present &= ~bit;
+  }
+  if (c->present == 0) {
+    // Written this batch (or offline): no snapshot reaches it.
+    delete c;
+    (*dir)[slot] = nullptr;
+    return;
+  }
+  part->chunk_bytes += ChunkBytes(*c);
+}
+
+uint64_t PropertyGraph::BuildDirectory(
+    std::vector<std::pair<TermId, TermId>>* pairs, uint64_t batch,
+    Directory* dir) {
+  std::vector<std::pair<TermId, TermId>>& e = *pairs;
+  if (!std::is_sorted(e.begin(), e.end())) std::sort(e.begin(), e.end());
+  uint64_t bytes = 0;
+  if (!e.empty()) dir->assign((e.back().first >> kChunkBits) + 1, nullptr);
+  for (size_t i = 0; i < e.size();) {
+    const uint64_t slot = e[i].first >> kChunkBits;
+    size_t end = i;
+    uint64_t present = 0;
+    for (; end < e.size() && (e[end].first >> kChunkBits) == slot; ++end) {
+      present |= uint64_t{1} << (e[end].first & kChunkMask);
+    }
+    auto c = std::make_unique<Chunk>();
+    c->present = present;
+    c->batch = batch;
+    c->offsets.reserve(static_cast<size_t>(std::popcount(present)) + 1);
+    c->nbrs.reserve(end - i);
+    for (size_t k = i; k < end; ++k) {
+      if (k == i || e[k].first != e[k - 1].first) {
+        c->offsets.push_back(static_cast<uint32_t>(k - i));
+      }
+      c->nbrs.push_back(e[k].second);
+    }
+    c->offsets.push_back(static_cast<uint32_t>(end - i));
+    bytes += ChunkBytes(*c);
+    (*dir)[slot] = c.release();
+    i = end;
+  }
+  return bytes;
 }
 
 PropertyGraph::Snapshot PropertyGraph::MakeSnapshot() const {
@@ -216,12 +386,6 @@ PropertyGraph::Snapshot PropertyGraph::MakeSnapshot() const {
   std::sort(snap.parts.begin(), snap.parts.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return snap;
-}
-
-void PropertyGraph::AddEdge(Partition* part, TermId s, TermId o) {
-  part->edges.emplace_back(s, o);
-  part->out[s].push_back(o);
-  part->in[o].push_back(s);
 }
 
 }  // namespace dskg::graphstore

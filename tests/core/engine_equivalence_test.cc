@@ -196,6 +196,100 @@ TEST_P(EngineEquivalenceTest, ShardedTraversalMatchesSerial) {
   }
 }
 
+// A step with both ends unbound seeds from the partition's edge walk.
+// After inserts and deletes have rewritten chunks of the partitions it
+// walks, sharded traversal must still split the walk where the serial
+// drain visits it: the same rows in the same order, and every charge
+// (op counts and the simulated, IO and CPU picoseconds) bit-identical.
+// The rows also equal the relational engine's over the updated table.
+TEST(ShardedWalkTest, UpdatedPartitionsSplitLikeSerial) {
+  rdf::Dataset ds = MakeCorpus(1);
+  DualStoreConfig cfg;
+  cfg.graph_capacity_triples = ds.num_triples();
+  DualStore store(&ds, cfg);
+  CostMeter load;
+  const rdf::Dictionary& dict = ds.dict();
+  for (const char* p : {"y:wasBornIn", "y:actedIn"}) {
+    ASSERT_TRUE(store.MigratePartition(dict.Lookup(p), &load).ok());
+  }
+
+  // Delete every fifth edge of both partitions; insert edges for new
+  // subjects, existing objects, and new objects past every directory end.
+  UpdateBatch batch;
+  for (const char* p : {"y:wasBornIn", "y:actedIn"}) {
+    const std::vector<rdf::Triple> part =
+        ds.TriplesWithPredicate(dict.Lookup(p));
+    for (size_t i = 0; i < part.size(); i += 5) {
+      batch.ops.push_back(
+          UpdateOp::Delete(std::string(dict.TermOf(part[i].subject)), p,
+                           std::string(dict.TermOf(part[i].object))));
+    }
+    for (size_t i = 0; i < part.size(); i += 9) {
+      batch.ops.push_back(UpdateOp::Insert(
+          "walk:s" + std::to_string(i), p,
+          std::string(dict.TermOf(part[i].object))));
+      batch.ops.push_back(UpdateOp::Insert(
+          std::string(dict.TermOf(part[i].subject)), p,
+          "walk:o" + std::to_string(i % 7)));
+    }
+  }
+  CostMeter update_meter;
+  auto applied = store.ApplyUpdates(batch, &update_meter);
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  ASSERT_GT(applied->deleted, 0u);
+  ASSERT_GT(applied->graph_maintained, applied->deleted);
+
+  graphstore::TraversalMatcher matcher(&store.graph(), &dict);
+  Executor ex(&store.table(), &dict);
+  for (const char* text :
+       {"SELECT ?p ?c WHERE { ?p y:wasBornIn ?c . }",
+        "SELECT ?p ?q WHERE { ?p y:wasBornIn ?c . ?q y:wasBornIn ?c . }",
+        "SELECT ?p ?m ?c WHERE { ?p y:actedIn ?m . ?p y:wasBornIn ?c . }"}) {
+    SCOPED_TRACE(text);
+    auto q = Parser::Parse(text);
+    ASSERT_TRUE(q.ok()) << q.status();
+    auto plan = matcher.Compile(*q);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    ASSERT_TRUE(plan->patterns[0].subject.is_variable &&
+                plan->patterns[0].object.is_variable);
+
+    CostMeter serial_meter;
+    auto serial = matcher.MatchSharded(*plan, nullptr, &serial_meter,
+                                       /*pool=*/nullptr, /*max_shards=*/0);
+    ASSERT_TRUE(serial.ok()) << serial.status();
+    ASSERT_GT(serial->NumRows(), 0u);
+    CostMeter rel_meter;
+    auto rel = testing::ExecuteRel(ex, *q, &rel_meter);
+    ASSERT_TRUE(rel.ok()) << rel.status();
+    EXPECT_TRUE(BindingTable::SameRows(*serial, *rel));
+
+    for (const int threads : {1, 2, 4}) {
+      ThreadPool pool(static_cast<size_t>(threads));
+      CostMeter meter;
+      auto sharded = matcher.MatchSharded(*plan, nullptr, &meter, &pool,
+                                          /*max_shards=*/0);
+      ASSERT_TRUE(sharded.ok()) << sharded.status();
+      ASSERT_EQ(sharded->columns, serial->columns);
+      ASSERT_EQ(sharded->NumRows(), serial->NumRows()) << threads;
+      for (size_t r = 0; r < serial->NumRows(); ++r) {
+        for (size_t c = 0; c < serial->NumColumns(); ++c) {
+          ASSERT_EQ(sharded->At(r, c), serial->At(r, c))
+              << "row " << r << " col " << c << " at " << threads
+              << " threads";
+        }
+      }
+      for (int op = 0; op < kNumOps; ++op) {
+        EXPECT_EQ(meter.count(static_cast<Op>(op)),
+                  serial_meter.count(static_cast<Op>(op)))
+            << OpName(static_cast<Op>(op)) << " at " << threads;
+      }
+      EXPECT_EQ(meter.sim_picos(), serial_meter.sim_picos()) << threads;
+      EXPECT_EQ(meter.io_picos(), serial_meter.io_picos()) << threads;
+      EXPECT_EQ(meter.cpu_picos(), serial_meter.cpu_picos()) << threads;
+    }
+  }
+}
+
 // Parallel dataset generation must be byte-identical to serial: the same
 // triples in the same order over the same term-id assignment.
 TEST(GeneratorDeterminismTest, ParallelGenerationMatchesSerial) {

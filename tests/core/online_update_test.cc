@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "core/dotil.h"
 #include "core/dual_store.h"
@@ -223,6 +224,7 @@ void RunConcurrentShardedPhase(
   // store is not poisoned.
   EXPECT_TRUE(store.poison_status().ok());
   EXPECT_EQ(store.active().table().PendingNodes(), 0u);
+  EXPECT_EQ(store.active().graph().PendingRetired(), 0u);
   EXPECT_EQ(store.applied_batches(), log.size() + 2);
 }
 
@@ -322,6 +324,43 @@ TEST_F(ApplyUpdatesTest, ResidentGraphPartitionIsMaintained) {
   auto exec = Execute("SELECT ?p WHERE { ?p likes film2 . }");
   ASSERT_TRUE(exec.ok());
   EXPECT_EQ(exec->result.NumRows(), 3u);  // carol, dave, eve
+}
+
+// The online store copies a resident partition per chunk: a batch that
+// touches one chunk of each direction copies exactly those two, counts
+// them in graph.cow.chunks_cloned, and publishes the live graph's size
+// in graph.bytes. Every SmallPeopleGraph id falls in chunk 0.
+TEST(OnlineGraphCowTest, BatchCopiesOnlyTheChunksItTouches) {
+  auto& reg = telemetry::MetricsRegistry::Global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  DualStoreConfig cfg;
+  cfg.graph_capacity_triples = 16;
+  cfg.num_shards = 2;
+  OnlineStore store(testing::SmallPeopleGraph(), cfg);
+  ASSERT_TRUE(store
+                  .TuneExclusive([](DualStore* s) {
+                    CostMeter m;
+                    return s->MigratePartition(s->dict().Lookup("likes"),
+                                               &m);
+                  })
+                  .ok());
+  telemetry::Counter* cloned = reg.counter("graph.cow.chunks_cloned");
+  const uint64_t cloned0 = cloned->value();
+  UpdateBatch batch;
+  batch.ops.push_back(UpdateOp::Insert("eve", "likes", "film2"));
+  batch.ops.push_back(UpdateOp::Delete("bob", "likes", "film1"));
+  batch.ops.push_back(UpdateOp::Insert("eve", "bornIn", "paris"));
+  auto res = store.ApplyUpdates(batch);
+  ASSERT_TRUE(res.ok()) << res.status();
+  EXPECT_EQ(res->graph_maintained, 2u);
+  EXPECT_EQ(cloned->value() - cloned0, 2u);
+  const graphstore::PropertyGraph& graph = store.active().graph();
+  EXPECT_EQ(reg.gauge("graph.bytes")->value(),
+            static_cast<double>(graph.MemoryBytes()));
+  EXPECT_GT(graph.MemoryBytes(), 0u);
+  EXPECT_EQ(graph.PendingRetired(), 0u);
+  reg.set_enabled(was_enabled);
 }
 
 TEST_F(ApplyUpdatesTest, DictionaryReclaimsAndRecyclesTerms) {
