@@ -122,10 +122,13 @@ void RunUpdateRateSweep(JsonReporter* json) {
                  {"wall_ms", wall_ms}});
     }
 
-    // Frontier coordinates, all simulated and deterministic. Freshness =
-    // absorbed mutations per simulated second of TOTAL store work (query
-    // TTI + update apply + retuning), so a rate that saves apply time but
-    // explodes tuning cost does not get credit for it.
+    // Frontier coordinates, all simulated but not all deterministic:
+    // RunOnline runs a window's queries on the pool while this thread
+    // applies the window's update batches, so which snapshot a query
+    // reads, and so a nonzero rate's query TTI, can depend on timing.
+    // Freshness = absorbed mutations per simulated second of TOTAL store
+    // work (query TTI + update apply + retuning), so a rate that saves
+    // apply time but explodes tuning cost does not get credit for it.
     const uint64_t absorbed = m->TotalInserted() + m->TotalDeleted();
     const double total_s =
         Sec(tti) + Sec(m->TotalUpdateMicros()) + Sec(m->TotalTuningMicros());

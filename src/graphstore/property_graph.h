@@ -150,14 +150,14 @@ class PropertyGraph {
 
   uint64_t used_triples() const;
   uint64_t capacity_triples() const { return capacity_triples_; }
+  /// Remaining capacity in triples (max value when unlimited).
+  uint64_t FreeTriples() const;
 
   /// Heap bytes the live partitions hold: container capacities, not
   /// allocator overhead. Retired copies awaiting the drain are not
   /// counted. O(partitions): each partition keeps a running count.
   /// Quiescent only.
   uint64_t MemoryBytes() const;
-  /// Remaining capacity in triples (max value when unlimited).
-  uint64_t FreeTriples() const;
 
   // --- adjacency access (used by the traversal matcher) -------------------
 
