@@ -6,9 +6,11 @@
 // both the hand-checkable SmallPeopleGraph and a generated YAGO graph.
 // The concurrent tests are also the ThreadSanitizer CI job's main load.
 //
-// Below that, `DualStore::ApplyUpdates` unit tests pin the cross-structure
-// consistency contract: triple table + all three indexes, per-predicate
-// statistics, dictionary usage counts, resident graph partitions, and the
+// Below that, per-op unit tests pin the cross-structure consistency
+// contract on every write path (the serial `DualStore::ApplyUpdates` and
+// `OnlineStore::ApplyUpdates` at 1 and 2 shards): triple table + all three
+// indexes, per-predicate statistics, dictionary usage counts, resident
+// graph partitions (maintained, or evicted on overflow), and the
 // materialized-view catalog.
 
 #include <gtest/gtest.h>
@@ -245,85 +247,195 @@ void RunConcurrentEquivalence(
   }
 }
 
-// ---- DualStore::ApplyUpdates unit tests -----------------------------------
+// ---- the update rule on every write path ---------------------------------
 
-class ApplyUpdatesTest : public ::testing::Test {
- protected:
-  ApplyUpdatesTest() : ds_(testing::SmallPeopleGraph()) {
-    DualStoreConfig cfg;
-    cfg.graph_capacity_triples = 8;
-    store_ = std::make_unique<DualStore>(&ds_, cfg);
-    session_ = std::make_unique<Session>(store_.get());
+/// The serial store (`num_shards` 0) or an OnlineStore of `num_shards`
+/// shards, built over `ds` with `cfg`: the per-op and refcount cases run
+/// on every write path.
+class AnyStore {
+ public:
+  AnyStore(rdf::Dataset* ds, int num_shards, DualStoreConfig cfg = {}) {
+    if (num_shards == 0) {
+      serial_ = std::make_unique<DualStore>(ds, cfg);
+      session_ = std::make_unique<Session>(serial_.get());
+    } else {
+      cfg.num_shards = num_shards;
+      online_ = std::make_unique<OnlineStore>(*ds, cfg);
+      session_ = std::make_unique<Session>(online_.get());
+    }
   }
 
-  TermId Id(const std::string& term) { return ds_.dict().Lookup(term); }
+  Result<UpdateResult> Apply(const UpdateBatch& batch,
+                             CostMeter* meter = nullptr) {
+    return serial_ != nullptr ? serial_->ApplyUpdates(batch, meter)
+                              : online_->ApplyUpdates(batch, meter);
+  }
+
+  /// Makes `predicate`'s partition graph-resident (online: inside an
+  /// exclusive tuning window).
+  Status Migrate(const char* predicate, CostMeter* meter) {
+    if (serial_ != nullptr) {
+      return serial_->MigratePartition(Id(predicate), meter);
+    }
+    return online_->TuneExclusive([&](DualStore* s) {
+      return s->MigratePartition(Id(predicate), meter);
+    });
+  }
 
   Result<QueryExecution> Execute(std::string_view text) {
     return session_->Execute(text);
   }
 
-  rdf::Dataset ds_;
-  std::unique_ptr<DualStore> store_;
-  std::unique_ptr<Session> session_;
+  const DualStore& store() const {
+    return serial_ != nullptr ? *serial_ : online_->active();
+  }
+
+  TermId Id(const char* term) const { return store().dict().Lookup(term); }
+
+  bool Stored(const char* s, const char* p, const char* o) const {
+    CostMeter meter;
+    return store().table().Contains({Id(s), Id(p), Id(o)}, &meter);
+  }
+
+ private:
+  std::unique_ptr<DualStore> serial_;
+  std::unique_ptr<OnlineStore> online_;
+  std::unique_ptr<Session> session_;  // destroyed before its store
 };
 
-TEST_F(ApplyUpdatesTest, InsertAndDeleteUpdateTheTable) {
-  UpdateBatch batch;
-  batch.ops.push_back(UpdateOp::Insert("eve", "bornIn", "berlin"));
-  batch.ops.push_back(UpdateOp::Insert("alice", "bornIn", "berlin"));  // dup
-  batch.ops.push_back(UpdateOp::Delete("dave", "likes", "film2"));
-  batch.ops.push_back(UpdateOp::Delete("zed", "foo", "bar"));  // unknown
-  CostMeter meter;
-  auto res = store_->ApplyUpdates(batch, &meter);
-  ASSERT_TRUE(res.ok()) << res.status();
-  EXPECT_EQ(res->inserted, 1u);
-  EXPECT_EQ(res->deleted, 1u);
-  EXPECT_EQ(store_->table().size(), 14u);  // 14 loaded, +1 -1
-  EXPECT_EQ(meter.count(Op::kInsertTuple), 1u);
-  EXPECT_EQ(meter.count(Op::kRemoveTuple), 1u);
-
-  auto gone = Execute("SELECT ?f WHERE { dave likes ?f . }");
-  ASSERT_TRUE(gone.ok());
-  EXPECT_TRUE(gone->result.empty());
-  auto there = Execute("SELECT ?p WHERE { ?p bornIn berlin . }");
-  ASSERT_TRUE(there.ok());
-  EXPECT_EQ(there->result.NumRows(), 3u);  // alice, bob, eve
+std::string PathName(int num_shards) {
+  return num_shards == 0
+             ? "serial DualStore"
+             : "OnlineStore, " + std::to_string(num_shards) + " shards";
 }
 
-TEST_F(ApplyUpdatesTest, StatsDecayExactlyOnDelete) {
-  const TermId born_in = Id("bornIn");
-  const auto before = store_->table().StatsOf(born_in);
-  EXPECT_EQ(before.num_triples, 4u);
-  EXPECT_EQ(before.num_distinct_objects, 2u);  // berlin, paris
-
-  UpdateBatch batch;
-  batch.ops.push_back(UpdateOp::Delete("carol", "bornIn", "paris"));
-  batch.ops.push_back(UpdateOp::Delete("dave", "bornIn", "paris"));
-  ASSERT_TRUE(store_->ApplyUpdates(batch).ok());
-
-  const auto after = store_->table().StatsOf(born_in);
-  EXPECT_EQ(after.num_triples, 2u);
-  EXPECT_EQ(after.num_distinct_subjects, 2u);  // alice, bob
-  EXPECT_EQ(after.num_distinct_objects, 1u);   // paris fully gone
+/// The per-op cases' graph budget: room for SmallPeopleGraph's 4-triple
+/// `likes` partition and a little more.
+DualStoreConfig SmallGraphConfig() {
+  DualStoreConfig cfg;
+  cfg.graph_capacity_triples = 8;
+  return cfg;
 }
 
-TEST_F(ApplyUpdatesTest, ResidentGraphPartitionIsMaintained) {
-  CostMeter meter;
-  ASSERT_TRUE(store_->MigratePartition(Id("likes"), &meter).ok());
-  EXPECT_EQ(store_->graph().PartitionTriples(Id("likes")), 4u);
+TEST(UpdateRuleTest, InsertAndDeleteUpdateTheTable) {
+  for (int shards : {0, 1, 2}) {
+    SCOPED_TRACE(PathName(shards));
+    rdf::Dataset ds = testing::SmallPeopleGraph();
+    AnyStore s(&ds, shards, SmallGraphConfig());
+    UpdateBatch batch;
+    batch.ops.push_back(UpdateOp::Insert("eve", "bornIn", "berlin"));
+    batch.ops.push_back(UpdateOp::Insert("alice", "bornIn", "berlin"));  // dup
+    batch.ops.push_back(UpdateOp::Delete("dave", "likes", "film2"));
+    batch.ops.push_back(UpdateOp::Delete("zed", "foo", "bar"));  // unknown
+    CostMeter meter;
+    auto res = s.Apply(batch, &meter);
+    ASSERT_TRUE(res.ok()) << res.status();
+    EXPECT_EQ(res->inserted, 1u);
+    EXPECT_EQ(res->deleted, 1u);
+    EXPECT_EQ(s.store().table().size(), 14u);  // 14 loaded, +1 -1
+    EXPECT_EQ(meter.count(Op::kInsertTuple), 1u);
+    EXPECT_EQ(meter.count(Op::kRemoveTuple), 1u);
 
-  UpdateBatch batch;
-  batch.ops.push_back(UpdateOp::Insert("eve", "likes", "film2"));
-  batch.ops.push_back(UpdateOp::Delete("bob", "likes", "film1"));
-  auto res = store_->ApplyUpdates(batch, &meter);
-  ASSERT_TRUE(res.ok()) << res.status();
-  EXPECT_EQ(res->graph_maintained, 2u);
-  EXPECT_EQ(store_->graph().PartitionTriples(Id("likes")), 4u);  // +1 -1
+    auto gone = s.Execute("SELECT ?f WHERE { dave likes ?f . }");
+    ASSERT_TRUE(gone.ok());
+    EXPECT_TRUE(gone->result.empty());
+    auto there = s.Execute("SELECT ?p WHERE { ?p bornIn berlin . }");
+    ASSERT_TRUE(there.ok());
+    EXPECT_EQ(there->result.NumRows(), 3u);  // alice, bob, eve
+  }
+}
 
-  // The graph copy answers with the new knowledge (Case 1 route).
-  auto exec = Execute("SELECT ?p WHERE { ?p likes film2 . }");
-  ASSERT_TRUE(exec.ok());
-  EXPECT_EQ(exec->result.NumRows(), 3u);  // carol, dave, eve
+TEST(UpdateRuleTest, StatsDecayExactlyOnDelete) {
+  for (int shards : {0, 1, 2}) {
+    SCOPED_TRACE(PathName(shards));
+    rdf::Dataset ds = testing::SmallPeopleGraph();
+    AnyStore s(&ds, shards, SmallGraphConfig());
+    const TermId born_in = s.Id("bornIn");
+    const auto before = s.store().table().StatsOf(born_in);
+    EXPECT_EQ(before.num_triples, 4u);
+    EXPECT_EQ(before.num_distinct_objects, 2u);  // berlin, paris
+
+    UpdateBatch batch;
+    batch.ops.push_back(UpdateOp::Delete("carol", "bornIn", "paris"));
+    batch.ops.push_back(UpdateOp::Delete("dave", "bornIn", "paris"));
+    ASSERT_TRUE(s.Apply(batch).ok());
+
+    const auto after = s.store().table().StatsOf(born_in);
+    EXPECT_EQ(after.num_triples, 2u);
+    EXPECT_EQ(after.num_distinct_subjects, 2u);  // alice, bob
+    EXPECT_EQ(after.num_distinct_objects, 1u);   // paris fully gone
+  }
+}
+
+TEST(UpdateRuleTest, ResidentGraphPartitionIsMaintained) {
+  for (int shards : {0, 1, 2}) {
+    SCOPED_TRACE(PathName(shards));
+    rdf::Dataset ds = testing::SmallPeopleGraph();
+    AnyStore s(&ds, shards, SmallGraphConfig());
+    CostMeter meter;
+    ASSERT_TRUE(s.Migrate("likes", &meter).ok());
+    EXPECT_EQ(s.store().graph().PartitionTriples(s.Id("likes")), 4u);
+
+    UpdateBatch batch;
+    batch.ops.push_back(UpdateOp::Insert("eve", "likes", "film2"));
+    batch.ops.push_back(UpdateOp::Delete("bob", "likes", "film1"));
+    auto res = s.Apply(batch, &meter);
+    ASSERT_TRUE(res.ok()) << res.status();
+    EXPECT_EQ(res->graph_maintained, 2u);
+    EXPECT_EQ(s.store().graph().PartitionTriples(s.Id("likes")), 4u);  // +1 -1
+
+    // The graph copy answers with the new knowledge (Case 1 route).
+    auto exec = s.Execute("SELECT ?p WHERE { ?p likes film2 . }");
+    ASSERT_TRUE(exec.ok());
+    EXPECT_EQ(exec->result.NumRows(), 3u);  // carol, dave, eve
+  }
+}
+
+// An insert into a resident partition that already fills the graph
+// budget evicts the partition rather than leave a stale graph copy: the
+// table takes the triple, the eviction is charged per evicted triple, and
+// queries over the predicate fall back to the relational route.
+TEST(UpdateRuleTest, OverflowingInsertEvictsTheResidentPartition) {
+  // Every pattern is `likes` with a variable endpoint that repeats, so
+  // the whole query is a complex subquery while `likes` is resident.
+  const char* kAlsoLikeFilm2 =
+      "SELECT ?p WHERE { carol likes ?f . ?p likes ?f . ?p likes film2 . }";
+  for (int shards : {0, 1, 2}) {
+    SCOPED_TRACE(PathName(shards));
+    rdf::Dataset ds = testing::SmallPeopleGraph();
+    DualStoreConfig cfg;
+    cfg.graph_capacity_triples = 4;  // exactly the `likes` partition
+    AnyStore s(&ds, shards, cfg);
+    CostMeter scratch;
+    ASSERT_TRUE(s.Migrate("likes", &scratch).ok());
+    const uint64_t partition_size =
+        s.store().graph().PartitionTriples(s.Id("likes"));
+    ASSERT_EQ(partition_size, 4u);
+    auto resident = s.Execute(kAlsoLikeFilm2);
+    ASSERT_TRUE(resident.ok()) << resident.status();
+    EXPECT_EQ(resident->route, Route::kGraphOnly);
+
+    UpdateBatch batch;
+    batch.ops.push_back(UpdateOp::Insert("eve", "likes", "film2"));
+    CostMeter meter;
+    auto res = s.Apply(batch, &meter);
+    ASSERT_TRUE(res.ok()) << res.status();
+    EXPECT_EQ(res->inserted, 1u);
+    EXPECT_EQ(res->graph_maintained, 0u);
+    EXPECT_TRUE(s.Stored("eve", "likes", "film2"));
+    EXPECT_FALSE(s.store().IsResident(s.Id("likes")));
+    EXPECT_EQ(meter.count(Op::kEvictTriple), partition_size);
+
+    auto exec = s.Execute(kAlsoLikeFilm2);
+    ASSERT_TRUE(exec.ok()) << exec.status();
+    EXPECT_EQ(exec->route, Route::kRelationalOnly);
+    std::vector<std::string> people;
+    for (const auto row : exec->result.Rows()) {
+      people.emplace_back(s.store().dict().TermOf(row[0]));
+    }
+    std::sort(people.begin(), people.end());
+    EXPECT_EQ(people, (std::vector<std::string>{"carol", "dave", "eve"}));
+  }
 }
 
 // The online store copies a resident partition per chunk: a batch that
@@ -363,17 +475,23 @@ TEST(OnlineGraphCowTest, BatchCopiesOnlyTheChunksItTouches) {
   reg.set_enabled(was_enabled);
 }
 
-TEST_F(ApplyUpdatesTest, DictionaryReclaimsAndRecyclesTerms) {
-  rdf::Dictionary& dict = ds_.mutable_dict();
-  const TermId film2 = Id("film2");
-  const TermId comedy = Id("comedy");
+// ---- serial DualStore only ------------------------------------------------
+
+// Offline, a term is forgotten and its id recycled as soon as its last
+// triple goes; the online store defers both past the epoch drain.
+TEST(ApplyUpdatesTest, DictionaryReclaimsAndRecyclesTerms) {
+  rdf::Dataset ds = testing::SmallPeopleGraph();
+  DualStore store(&ds, SmallGraphConfig());
+  rdf::Dictionary& dict = ds.mutable_dict();
+  const TermId film2 = dict.Lookup("film2");
+  const TermId comedy = dict.Lookup("comedy");
   EXPECT_GT(dict.RefCount(film2), 0u);
 
   UpdateBatch batch;
   batch.ops.push_back(UpdateOp::Delete("carol", "likes", "film2"));
   batch.ops.push_back(UpdateOp::Delete("dave", "likes", "film2"));
   batch.ops.push_back(UpdateOp::Delete("film2", "genre", "comedy"));
-  ASSERT_TRUE(store_->ApplyUpdates(batch).ok());
+  ASSERT_TRUE(store.ApplyUpdates(batch).ok());
   // film2 and comedy lost their last uses: both forgotten and reclaimed.
   EXPECT_EQ(dict.Lookup("film2"), rdf::kInvalidTermId);
   EXPECT_EQ(dict.Lookup("comedy"), rdf::kInvalidTermId);
@@ -383,9 +501,10 @@ TEST_F(ApplyUpdatesTest, DictionaryReclaimsAndRecyclesTerms) {
   // Freed ids are recycled LIFO by fresh interns (comedy was freed last).
   UpdateBatch next;
   next.ops.push_back(UpdateOp::Insert("alice", "likes", "film3"));
-  ASSERT_TRUE(store_->ApplyUpdates(next).ok());
+  ASSERT_TRUE(store.ApplyUpdates(next).ok());
   EXPECT_EQ(dict.Lookup("film3"), comedy);
-  auto exec = Execute("SELECT ?p WHERE { ?p likes film3 . }");
+  Session session(&store);
+  auto exec = session.Execute("SELECT ?p WHERE { ?p likes film3 . }");
   ASSERT_TRUE(exec.ok());
   EXPECT_EQ(exec->result.NumRows(), 1u);
 }
@@ -416,47 +535,6 @@ TEST(ApplyUpdatesViewsTest, TouchedPredicatesInvalidateViews) {
 }
 
 // ---- refcounts: a term lives exactly as long as a stored triple uses it ---
-
-/// The serial store (`num_shards` 0) or an OnlineStore of `num_shards`
-/// shards, built over `ds`: the refcount cases run on every write path.
-class AnyStore {
- public:
-  AnyStore(rdf::Dataset* ds, int num_shards) {
-    DualStoreConfig cfg;
-    if (num_shards == 0) {
-      serial_ = std::make_unique<DualStore>(ds, cfg);
-    } else {
-      cfg.num_shards = num_shards;
-      online_ = std::make_unique<OnlineStore>(*ds, cfg);
-    }
-  }
-
-  Result<UpdateResult> Apply(const UpdateBatch& batch) {
-    return serial_ != nullptr ? serial_->ApplyUpdates(batch)
-                              : online_->ApplyUpdates(batch);
-  }
-
-  const DualStore& store() const {
-    return serial_ != nullptr ? *serial_ : online_->active();
-  }
-
-  bool Stored(const char* s, const char* p, const char* o) const {
-    const rdf::Dictionary& dict = store().dict();
-    CostMeter meter;
-    return store().table().Contains(
-        {dict.Lookup(s), dict.Lookup(p), dict.Lookup(o)}, &meter);
-  }
-
- private:
-  std::unique_ptr<DualStore> serial_;
-  std::unique_ptr<OnlineStore> online_;
-};
-
-std::string PathName(int num_shards) {
-  return num_shards == 0
-             ? "serial DualStore"
-             : "OnlineStore, " + std::to_string(num_shards) + " shards";
-}
 
 TEST(RefCountTest, DeleteThenReinsertWithinOneBatch) {
   for (int shards : {0, 1, 2}) {
@@ -616,7 +694,7 @@ TEST(OnlineEquivalenceTest, RandomizedYagoStream) {
 
 // Cross-shard fan-in: one batch whose ops span predicates owned by
 // different shards must land identically to the serial store — result
-// counters, exact op-count charges, and query-visible state.
+// counters, op counts and picosecond charges, and query-visible state.
 TEST(OnlineEquivalenceTest, CrossShardFanInMatchesSerial) {
   rdf::Dataset base = testing::SmallPeopleGraph();
   UpdateBatch batch;
@@ -660,9 +738,6 @@ TEST(OnlineEquivalenceTest, CrossShardFanInMatchesSerial) {
     EXPECT_EQ(got->inserted, want->inserted);
     EXPECT_EQ(got->deleted, want->deleted);
     EXPECT_EQ(got->graph_maintained, want->graph_maintained);
-    // Op counts are shard-invariant integers; simulated micros are a
-    // float sum whose addition order the shard-major merge fixes, so
-    // they are bit-identical only at one shard.
     EXPECT_EQ(meter.count(Op::kInsertTuple),
               serial_meter.count(Op::kInsertTuple));
     EXPECT_EQ(meter.count(Op::kRemoveTuple),
@@ -671,12 +746,11 @@ TEST(OnlineEquivalenceTest, CrossShardFanInMatchesSerial) {
               serial_meter.count(Op::kImportTriple));
     EXPECT_EQ(meter.count(Op::kEvictTriple),
               serial_meter.count(Op::kEvictTriple));
-    if (shards == 1) {
-      EXPECT_EQ(meter.sim_micros(), serial_meter.sim_micros());
-    } else {
-      EXPECT_NEAR(meter.sim_micros(), serial_meter.sim_micros(),
-                  1e-9 * (1.0 + serial_meter.sim_micros()));
-    }
+    // Charges are integer picoseconds, so the shard-order merge of the
+    // per-shard meters equals the serial sum exactly at every shard count.
+    EXPECT_EQ(meter.sim_picos(), serial_meter.sim_picos());
+    EXPECT_EQ(meter.io_picos(), serial_meter.io_picos());
+    EXPECT_EQ(meter.cpu_picos(), serial_meter.cpu_picos());
     Session serial_session(&serial);
     Session online_session(&store);
     for (const Query& q : SmallQueries()) {
@@ -691,9 +765,10 @@ TEST(OnlineEquivalenceTest, CrossShardFanInMatchesSerial) {
 }
 
 // Quiescent shard invariance on a generated stream: per-batch result
-// counters and final query-visible state are identical at every shard
-// count (and to the serial reference), because the injector resolves
-// ids in op order and each shard applies its ops in op order.
+// counters, the batches' charges and final query-visible state are
+// identical at every shard count (and to the serial reference), because
+// the injector resolves ids in op order and each shard applies its ops in
+// op order.
 TEST(OnlineEquivalenceTest, YagoStreamCountsAreShardCountInvariant) {
   workload::YagoConfig gen;
   gen.target_triples = 6000;
@@ -749,9 +824,9 @@ TEST(OnlineEquivalenceTest, YagoStreamCountsAreShardCountInvariant) {
       EXPECT_EQ(r->graph_maintained, serial_results[k].graph_maintained)
           << "batch " << k;
     }
-    if (shards == 1) {
-      EXPECT_EQ(meter.sim_micros(), serial_meter.sim_micros());
-    }
+    EXPECT_EQ(meter.sim_picos(), serial_meter.sim_picos());
+    EXPECT_EQ(meter.io_picos(), serial_meter.io_picos());
+    EXPECT_EQ(meter.cpu_picos(), serial_meter.cpu_picos());
     Session serial_session(&serial);
     Session online_session(&store);
     for (const Query& q : probes) {
