@@ -1,5 +1,6 @@
 #include "core/dual_store.h"
 
+#include <cassert>
 #include <unordered_set>
 #include <vector>
 
@@ -87,63 +88,85 @@ Result<UpdateResult> DualStore::ApplyUpdates(const UpdateBatch& batch,
   // change statistics: prepared plans must re-validate. Bumped
   // unconditionally so the epoch tracks applied batches exactly.
   plan_epoch_.fetch_add(1, std::memory_order_release);
-  UpdateResult res;
   CostMeter local;
   CostMeter* m = meter != nullptr ? meter : &local;
-
-  // An applied insert retains its ids at once; an applied delete's ids
-  // are released after the loop, so every id stays valid for the whole
-  // batch and a delete plus re-insert of one triple nets to zero.
-  std::vector<Triple> deleted;
-  std::unordered_set<TermId> touched_predicates;
-
-  for (const UpdateOp& op : batch.ops) {
-    if (op.kind == UpdateOp::Kind::kInsert) {
-      const Triple t{dict_->Intern(op.subject), dict_->Intern(op.predicate),
-                     dict_->Intern(op.object)};
-      if (!table_.Insert(t, m)) continue;  // already stored: no-op
-      dict_->Retain(t);
-      ++res.inserted;
-      touched_predicates.insert(t.predicate);
-      if (graph_.HasPredicate(t.predicate)) {
-        Status s = graph_.InsertTriple(t, m);
-        if (s.IsCapacityExceeded()) {
-          // The graph copy no longer fits: drop the partition rather than
-          // serve stale answers (the relational store stays authoritative).
-          DSKG_RETURN_NOT_OK(graph_.EvictPartition(t.predicate, m));
-        } else {
-          DSKG_RETURN_NOT_OK(s);
-          ++res.graph_maintained;
-        }
-      }
-    } else {
-      const Triple t{dict_->Lookup(op.subject), dict_->Lookup(op.predicate),
-                     dict_->Lookup(op.object)};
-      if (t.subject == rdf::kInvalidTermId ||
-          t.predicate == rdf::kInvalidTermId ||
-          t.object == rdf::kInvalidTermId) {
-        continue;  // references an unknown term: nothing stored to delete
-      }
-      if (!table_.RemoveTriple(t, m)) continue;  // not stored: no-op
-      deleted.push_back(t);
-      ++res.deleted;
-      touched_predicates.insert(t.predicate);
-      if (graph_.HasPredicate(t.predicate)) {
-        Status s = graph_.RemoveTriple(t, m);
-        DSKG_RETURN_NOT_OK(s);
-        ++res.graph_maintained;
-      }
-    }
+  std::vector<Triple> triples(batch.ops.size());
+  std::vector<uint8_t> outcomes(batch.ops.size(), 0);
+  for (size_t i = 0; i < batch.ops.size(); ++i) {
+    const std::optional<Triple> t = ResolveOp(batch.ops[i]);
+    if (!t) continue;
+    triples[i] = *t;
+    DSKG_ASSIGN_OR_RETURN(outcomes[i], ApplyOp(batch.ops[i].kind, *t, m));
   }
+  return FoldOutcomes(batch, triples, outcomes);
+}
 
+std::optional<Triple> DualStore::ResolveOp(const UpdateOp& op) {
+  if (op.kind == UpdateOp::Kind::kInsert) {
+    return Triple{dict_->Intern(op.subject), dict_->Intern(op.predicate),
+                  dict_->Intern(op.object)};
+  }
+  const Triple t{dict_->Lookup(op.subject), dict_->Lookup(op.predicate),
+                 dict_->Lookup(op.object)};
+  if (t.subject == rdf::kInvalidTermId || t.predicate == rdf::kInvalidTermId ||
+      t.object == rdf::kInvalidTermId) {
+    return std::nullopt;
+  }
+  return t;
+}
+
+Result<uint8_t> DualStore::ApplyOp(UpdateOp::Kind kind, const Triple& t,
+                                   CostMeter* meter) {
+  // `HasPredicate` follows this thread's installed snapshot.
+  assert(graph_.InstalledSnapshot() == nullptr);
+  const bool insert = kind == UpdateOp::Kind::kInsert;
+  if (insert ? !table_.Insert(t, meter) : !table_.RemoveTriple(t, meter)) {
+    return uint8_t{0};  // already stored / not stored: no-op
+  }
+  if (!graph_.HasPredicate(t.predicate)) return kOutcomeApplied;
+  Status s = insert ? graph_.InsertTriple(t, meter)
+                    : graph_.RemoveTriple(t, meter);
+  if (insert && s.IsCapacityExceeded()) {
+    // The graph copy no longer fits: drop the partition rather than serve
+    // stale answers (the relational store stays authoritative).
+    DSKG_RETURN_NOT_OK(graph_.EvictPartition(t.predicate, meter));
+    return kOutcomeApplied;
+  }
+  DSKG_RETURN_NOT_OK(s);
+  return uint8_t{kOutcomeApplied | kOutcomeGraphMaintained};
+}
+
+UpdateResult DualStore::FoldOutcomes(const UpdateBatch& batch,
+                                     const std::vector<Triple>& triples,
+                                     const std::vector<uint8_t>& outcomes) {
+  UpdateResult res;
+  std::unordered_set<TermId> touched_predicates;
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    if ((outcomes[i] & kOutcomeApplied) == 0) continue;
+    if (batch.ops[i].kind == UpdateOp::Kind::kInsert) {
+      dict_->Retain(triples[i]);
+      ++res.inserted;
+    } else {
+      ++res.deleted;
+    }
+    touched_predicates.insert(triples[i].predicate);
+    if ((outcomes[i] & kOutcomeGraphMaintained) != 0) ++res.graph_maintained;
+  }
   // Invalidate views BEFORE releasing: a release may forget a term, and a
   // predicate whose last triple died this batch must still resolve while
   // the catalog is matched against `touched_predicates` (a stale view
-  // would otherwise survive and keep serving the deleted rows).
+  // would otherwise survive and keep serving the deleted rows). Releasing
+  // last also keeps every id valid for the whole batch, so a delete plus
+  // re-insert of one triple nets to zero.
   if (views_ != nullptr && !touched_predicates.empty()) {
     res.views_dropped = views_->InvalidatePredicates(touched_predicates);
   }
-  for (const Triple& t : deleted) dict_->Release(t);
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    if ((outcomes[i] & kOutcomeApplied) != 0 &&
+        batch.ops[i].kind == UpdateOp::Kind::kDelete) {
+      dict_->Release(triples[i]);
+    }
+  }
   return res;
 }
 

@@ -28,7 +28,9 @@
 /// \endcode
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -154,10 +156,11 @@ class DualStore {
   /// — the tuner rebuilds them).
   /// Inserting a stored triple and deleting an absent one are no-ops.
   ///
-  /// Single-applier: must not run concurrently with queries on THIS
+  /// Single writer: must not run concurrently with queries on THIS
   /// store — `OnlineStore` layers epoch-based read/write coordination on
-  /// top for that. Charges per-tuple insert/remove and graph-maintenance
-  /// costs to `meter` when provided.
+  /// top for that, and runs the same per-op rule on its shards. Charges
+  /// per-tuple insert/remove and graph-maintenance costs to `meter` when
+  /// provided.
   Result<UpdateResult> ApplyUpdates(const UpdateBatch& batch,
                                     CostMeter* meter = nullptr);
 
@@ -271,10 +274,37 @@ class DualStore {
   void SetExecutionPool(ThreadPool* pool);
 
  private:
-  /// The online store drives this store's sharded write pipeline (per-
-  /// shard appliers, snapshot publication, deferred reclamation) through
-  /// the private component state.
+  /// The online store drives this store's sharded write pipeline (the
+  /// update rule below run per shard, snapshot publication, deferred
+  /// reclamation) through the private component state.
   friend class OnlineStore;
+
+  // Outcome bits of one op under the update rule (0 = no-op).
+  static constexpr uint8_t kOutcomeApplied = 1;
+  static constexpr uint8_t kOutcomeGraphMaintained = 2;
+
+  /// Resolves `op`'s ids: interns an insert's terms, looks up a delete's.
+  /// Null for a delete that names an unknown term (nothing stored to
+  /// delete). Interns, so callers resolve a batch in op order on one
+  /// thread: that order is the id assignment.
+  std::optional<rdf::Triple> ResolveOp(const UpdateOp& op);
+
+  /// The update rule for one resolved op: inserts `t` unless already
+  /// stored (deletes it unless absent), then keeps a resident partition
+  /// of its predicate in step, evicting the partition when an insert
+  /// overflows the graph budget. Returns the outcome bits. Touches only
+  /// `t.predicate`'s shard, so ops of different shards may run
+  /// concurrently. Writes live state: no snapshot may be installed.
+  Result<uint8_t> ApplyOp(UpdateOp::Kind kind, const rdf::Triple& t,
+                          CostMeter* meter);
+
+  /// Folds the per-op outcomes of `batch` in op order: retains applied
+  /// inserts' ids, counts, drops views over touched predicates, and only
+  /// then releases applied deletes' ids. `triples` and `outcomes` are
+  /// indexed like `batch.ops`.
+  UpdateResult FoldOutcomes(const UpdateBatch& batch,
+                            const std::vector<rdf::Triple>& triples,
+                            const std::vector<uint8_t>& outcomes);
 
   /// This thread's installed snapshot if it belongs to this store.
   const Snapshot* CurrentSnapshot() const {

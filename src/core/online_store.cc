@@ -1,8 +1,8 @@
 #include "core/online_store.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -11,7 +11,6 @@
 
 namespace dskg::core {
 
-using rdf::TermId;
 using rdf::Triple;
 
 namespace {
@@ -90,7 +89,7 @@ OnlineStore::OnlineStore(RestoreTag, rdf::Dataset&& restored,
   if (status->ok() && !reader.AtEnd()) {
     *status = Status::IoError("trailing bytes in snapshot table section");
   }
-  if (!status->ok()) return;  // appliers never started; destructor is safe
+  if (!status->ok()) return;  // never finished; the destructor is safe
   // Re-import the partitions that were graph-resident at save time. The
   // graph copy is derived state, so this is a rebuild, not a replay — the
   // charges go to a throwaway meter (recovery work is not part of any
@@ -123,8 +122,7 @@ void OnlineStore::FinishConstruction() {
                   std::memory_order_seq_cst);
 
   const int n = store_->num_shards();
-  workers_.reserve(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) workers_.push_back(std::make_unique<Worker>());
+  if (n > 1) pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(n - 1));
   auto& reg = telemetry::MetricsRegistry::Global();
   shard_metrics_.resize(static_cast<size_t>(n));
   for (int s = 0; s < n; ++s) {
@@ -133,23 +131,9 @@ void OnlineStore::FinishConstruction() {
         reg.histogram(prefix + ".apply_us"),
         reg.gauge(prefix + ".queue_depth")};
   }
-  for (int s = 0; s < n; ++s) {
-    workers_[static_cast<size_t>(s)]->thread =
-        std::thread(&OnlineStore::WorkerLoop, this, s);
-  }
 }
 
 OnlineStore::~OnlineStore() {
-  for (const std::unique_ptr<Worker>& w : workers_) {
-    {
-      std::lock_guard<std::mutex> lock(w->mu);
-      w->stop = true;
-    }
-    w->cv.notify_all();
-  }
-  for (const std::unique_ptr<Worker>& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
   delete snapshot_.load(std::memory_order_seq_cst);
 }
 
@@ -200,7 +184,6 @@ Result<UpdateResult> OnlineStore::ApplyUpdates(const UpdateBatch& batch,
   auto& reg = telemetry::MetricsRegistry::Global();
   const bool telem = reg.enabled();
 
-  UpdateResult res;
   CostMeter local;
   CostMeter* m = meter != nullptr ? meter : &local;
   const int n = num_shards();
@@ -210,30 +193,14 @@ Result<UpdateResult> OnlineStore::ApplyUpdates(const UpdateBatch& batch,
   // Interning happens here, on one thread, in exactly the serial store's
   // order — id assignment is independent of the shard count's timing.
   const double inject0 = telem ? reg.NowMicros() : 0;
-  rdf::Dictionary& dict = dataset_.mutable_dict();
   std::vector<Triple> triples(num_ops);
-  std::vector<uint8_t> outcomes(num_ops, 0);  // 0 = skipped no-op
-  std::vector<std::vector<ShardOp>> shard_ops(static_cast<size_t>(n));
+  std::vector<std::vector<uint32_t>> shard_ops(static_cast<size_t>(n));
   for (size_t i = 0; i < num_ops; ++i) {
-    const UpdateOp& op = batch.ops[i];
-    if (op.kind == UpdateOp::Kind::kInsert) {
-      const Triple t{dict.Intern(op.subject), dict.Intern(op.predicate),
-                     dict.Intern(op.object)};
-      triples[i] = t;
-      shard_ops[static_cast<size_t>(store_->table_.ShardOf(t.predicate))]
-          .push_back({static_cast<uint32_t>(i), true, t});
-    } else {
-      const Triple t{dict.Lookup(op.subject), dict.Lookup(op.predicate),
-                     dict.Lookup(op.object)};
-      if (t.subject == rdf::kInvalidTermId ||
-          t.predicate == rdf::kInvalidTermId ||
-          t.object == rdf::kInvalidTermId) {
-        continue;  // references an unknown term: nothing stored to delete
-      }
-      triples[i] = t;
-      shard_ops[static_cast<size_t>(store_->table_.ShardOf(t.predicate))]
-          .push_back({static_cast<uint32_t>(i), false, t});
-    }
+    const std::optional<Triple> t = store_->ResolveOp(batch.ops[i]);
+    if (!t) continue;  // unknown term: nothing stored to delete
+    triples[i] = *t;
+    shard_ops[static_cast<size_t>(store_->table_.ShardOf(t->predicate))]
+        .push_back(static_cast<uint32_t>(i));
   }
 
   if (telem) {
@@ -246,87 +213,38 @@ Result<UpdateResult> OnlineStore::ApplyUpdates(const UpdateBatch& batch,
     }
   }
 
-  // ---- Phase II (apply): fan out to the shard appliers. Each charges
-  // its own meter; with one shard the caller's meter is charged directly,
-  // so the serial charge sequence is reproduced bit for bit.
-  std::vector<CostMeter> shard_meters;
-  if (n > 1) {
-    shard_meters.reserve(static_cast<size_t>(n));
-    for (int s = 0; s < n; ++s) {
-      shard_meters.emplace_back(m->model(), m->throttle());
-    }
-  }
-  for (int s = 0; s < n; ++s) {
-    if (shard_ops[static_cast<size_t>(s)].empty()) continue;
-    Worker& w = *workers_[static_cast<size_t>(s)];
-    {
-      std::lock_guard<std::mutex> lock(w.mu);
-      w.ops = &shard_ops[static_cast<size_t>(s)];
-      w.meter = n > 1 ? &shard_meters[static_cast<size_t>(s)] : m;
-      w.outcomes = &outcomes;
-      w.has_work = true;
-      w.done = false;
-    }
-    w.cv.notify_all();
-  }
-  // Merge barrier: the injector blocks here until every shard applier
-  // reports done (the overlapped-injection follow-on wants this wait
-  // small; now it is measured).
+  // ---- Phase II (apply): the pool's workers and this thread run the
+  // shards, each charging its own meter. The merge barrier is the whole
+  // fan-out, from the first task queued to the last shard done.
+  std::vector<uint8_t> outcomes(num_ops, 0);  // 0 = skipped no-op
+  std::vector<CostMeter> shard_meters(static_cast<size_t>(n),
+                                      CostMeter(m->model(), m->throttle()));
+  std::vector<Status> shard_status(static_cast<size_t>(n));
+  const auto apply_shard = [&](size_t s) {
+    shard_status[s] = ApplyShard(static_cast<int>(s), batch, triples,
+                                 shard_ops[s], &shard_meters[s], &outcomes);
+  };
   const double barrier0 = telem ? reg.NowMicros() : 0;
-  Status apply_status = Status::OK();
-  for (int s = 0; s < n; ++s) {
-    if (shard_ops[static_cast<size_t>(s)].empty()) continue;
-    Worker& w = *workers_[static_cast<size_t>(s)];
-    std::unique_lock<std::mutex> lock(w.mu);
-    w.cv.wait(lock, [&w] { return w.done; });
-    if (!w.status.ok() && apply_status.ok()) apply_status = w.status;
+  if (pool_ != nullptr) {
+    pool_->ParallelFor(static_cast<size_t>(n), apply_shard);
+  } else {
+    apply_shard(0);
   }
   if (telem) Sm().merge_barrier_us->Record(reg.NowMicros() - barrier0);
-  if (!apply_status.ok()) {
-    // Never published: readers keep the last consistent snapshot, but the
-    // live shards may have half-applied the batch — poison.
-    poisoned_ = apply_status;
-    return poisoned_;
-  }
-
-  // ---- Phase III (merge): fold shard meters in shard order, replay
-  // outcomes in op order into the dictionary's refcounts.
-  if (n > 1) {
-    for (int s = 0; s < n; ++s) {
-      if (shard_ops[static_cast<size_t>(s)].empty()) continue;
-      m->Merge(shard_meters[static_cast<size_t>(s)]);
-    }
-  }
-  // Refcounts follow the outcomes exactly as in DualStore::ApplyUpdates,
-  // the serial reference: an applied insert retains its ids here, an
-  // applied delete releases them after view invalidation.
-  std::unordered_set<TermId> touched_predicates;
-  for (size_t i = 0; i < num_ops; ++i) {
-    if ((outcomes[i] & kOutcomeApplied) == 0) continue;
-    const Triple& t = triples[i];
-    if (batch.ops[i].kind == UpdateOp::Kind::kInsert) {
-      dict.Retain(t);
-      ++res.inserted;
-    } else {
-      ++res.deleted;
-    }
-    touched_predicates.insert(t.predicate);
-    if ((outcomes[i] & kOutcomeGraphMaintained) != 0) ++res.graph_maintained;
-  }
-  // Invalidate views BEFORE releasing: invalidation resolves predicate
-  // text against the dictionary, and a predicate whose last triple died
-  // this batch must still resolve.
-  if (store_->views_ != nullptr && !touched_predicates.empty()) {
-    res.views_dropped =
-        store_->views_->InvalidatePredicates(touched_predicates);
-  }
-  for (size_t i = 0; i < num_ops; ++i) {
-    if ((outcomes[i] & kOutcomeApplied) != 0 &&
-        batch.ops[i].kind == UpdateOp::Kind::kDelete) {
-      dict.Release(triples[i]);
+  for (const Status& s : shard_status) {
+    if (!s.ok()) {
+      // Never published: readers keep the last consistent snapshot, but
+      // the live shards may have half-applied the batch — poison.
+      poisoned_ = s;
+      return poisoned_;
     }
   }
 
+  // ---- Phase III (merge): fold shard meters in shard order, outcomes in
+  // op order — the serial store's fold, so refcounts, counters and view
+  // invalidation match it.
+  for (const CostMeter& sm : shard_meters) m->Merge(sm);
+  UpdateResult res = store_->FoldOutcomes(batch, triples, outcomes);
   Sm().triples_inserted->Add(res.inserted);
   Sm().triples_deleted->Add(res.deleted);
 
@@ -340,34 +258,17 @@ Result<UpdateResult> OnlineStore::ApplyUpdates(const UpdateBatch& batch,
   return res;
 }
 
-void OnlineStore::WorkerLoop(int shard) {
-  Worker& w = *workers_[static_cast<size_t>(shard)];
-  std::unique_lock<std::mutex> lock(w.mu);
-  for (;;) {
-    w.cv.wait(lock, [&w] { return w.has_work || w.stop; });
-    if (w.stop) return;
-    const std::vector<ShardOp>* ops = w.ops;
-    CostMeter* m = w.meter;
-    std::vector<uint8_t>* outcomes = w.outcomes;
-    lock.unlock();
-    Status status = ApplyShard(shard, *ops, m, outcomes);
-    lock.lock();
-    w.status = std::move(status);
-    w.has_work = false;
-    w.done = true;
-    w.cv.notify_all();
-  }
-}
-
-Status OnlineStore::ApplyShard(int shard, const std::vector<ShardOp>& ops,
-                               CostMeter* m,
+Status OnlineStore::ApplyShard(int shard, const UpdateBatch& batch,
+                               const std::vector<Triple>& triples,
+                               const std::vector<uint32_t>& ops, CostMeter* m,
                                std::vector<uint8_t>* outcomes) {
+  if (ops.empty()) return Status::OK();
   auto& reg = telemetry::MetricsRegistry::Global();
   const bool telem = reg.enabled();
   relstore::TripleTable& table = store_->table_;
   graphstore::PropertyGraph& graph = store_->graph_;
   // COW churn is a before/after delta of the shard's own tree counters:
-  // this applier is the only mutator, so the reads are exact.
+  // this task is the shard's only mutator, so the reads are exact.
   const double wall0 = telem ? reg.NowMicros() : 0;
   const uint64_t clones0 = telem ? table.CowClonesOf(shard) : 0;
   const uint64_t pending0 = telem ? table.PendingNodesOf(shard) : 0;
@@ -377,33 +278,9 @@ Status OnlineStore::ApplyShard(int shard, const std::vector<ShardOp>& ops,
   // copies it.
   table.BeginShardBatch(shard);
   graph.BeginShardBatch(shard);
-  for (const ShardOp& op : ops) {
-    if (op.is_insert) {
-      if (!table.Insert(op.triple, m)) continue;  // already stored: no-op
-      uint8_t bits = kOutcomeApplied;
-      if (graph.HasPredicate(op.triple.predicate)) {
-        Status s = graph.InsertTriple(op.triple, m);
-        if (s.IsCapacityExceeded()) {
-          // The graph copy no longer fits: drop the partition rather than
-          // serve stale answers (the relational store stays
-          // authoritative).
-          DSKG_RETURN_NOT_OK(
-              graph.EvictPartition(op.triple.predicate, m));
-        } else {
-          DSKG_RETURN_NOT_OK(s);
-          bits |= kOutcomeGraphMaintained;
-        }
-      }
-      (*outcomes)[op.index] = bits;
-    } else {
-      if (!table.RemoveTriple(op.triple, m)) continue;  // not stored: no-op
-      uint8_t bits = kOutcomeApplied;
-      if (graph.HasPredicate(op.triple.predicate)) {
-        DSKG_RETURN_NOT_OK(graph.RemoveTriple(op.triple, m));
-        bits |= kOutcomeGraphMaintained;
-      }
-      (*outcomes)[op.index] = bits;
-    }
+  for (const uint32_t i : ops) {
+    DSKG_ASSIGN_OR_RETURN((*outcomes)[i],
+                          store_->ApplyOp(batch.ops[i].kind, triples[i], m));
   }
   if (telem) {
     shard_metrics_[static_cast<size_t>(shard)].apply_us->Record(

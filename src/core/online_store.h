@@ -10,22 +10,25 @@
 ///
 /// An `OnlineStore` owns ONE `DualStore` whose triple table, graph store
 /// and dictionary are split into `num_shards` share-nothing predicate
-/// shards. Each shard has a persistent applier thread; batches flow
-/// through a four-phase pipeline:
+/// shards. Batches flow through a four-phase pipeline built from the
+/// serial store's own update rule (`DualStore::ResolveOp`, `ApplyOp`,
+/// `FoldOutcomes`):
 ///
 ///   1. **Inject** (caller thread): resolve every op's term ids against
 ///      the dictionary in op order (id assignment is therefore identical
 ///      to the serial store's), then route each op to the shard owning
 ///      its predicate.
-///   2. **Apply** (shard appliers, parallel): each shard applies its ops
-///      in order to its own B+-tree slabs and graph partitions.
-///      Structures a published snapshot can reach are never mutated in
-///      place — the B+-trees clone root-to-leaf paths into fresh pool
-///      nodes (node-level copy-on-write), graph partitions clone on the
-///      batch's first touch. Appliers share no mutable state: outcomes
-///      land in per-op slots, costs in per-shard meters.
+///   2. **Apply** (parallel): the shards run on a store-owned
+///      `ThreadPool` of `num_shards - 1` workers plus the caller thread;
+///      each shard applies its ops in order to its own B+-tree slabs and
+///      graph partitions. Structures a published snapshot can reach are
+///      never mutated in place — the B+-trees clone root-to-leaf paths
+///      into fresh pool nodes (node-level copy-on-write), graph partitions
+///      copy their chunks on the batch's first touch. Shards share no
+///      mutable state: outcomes land in per-op slots, costs in per-shard
+///      meters.
 ///   3. **Merge** (caller thread): fold shard meters in shard order,
-///      replay outcomes in op order into the dictionary's refcounts
+///      fold outcomes in op order into the dictionary's refcounts
 ///      (retain applied inserts; release applied deletes after stale
 ///      materialized views are invalidated).
 ///   4. **Publish + reclaim** (caller thread): capture a new immutable
@@ -47,19 +50,17 @@
 /// pair (2x memory, every batch applied twice) is gone.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/cost.h"
 #include "common/epoch.h"
 #include "common/status.h"
 #include "common/telemetry.h"
+#include "common/thread_pool.h"
 #include "core/dual_store.h"
 #include "core/update.h"
 #include "persist/wal.h"
@@ -67,7 +68,7 @@
 
 namespace dskg::core {
 
-/// A mutable-while-queried dual store (sharded copy-on-write applier +
+/// A mutable-while-queried dual store (sharded copy-on-write apply +
 /// epoch-coordinated snapshot reads).
 class OnlineStore {
  public:
@@ -103,7 +104,7 @@ class OnlineStore {
   class ReadGuard {
    public:
     /// The underlying store. Reads through it see LIVE state unless
-    /// `snapshot()` is installed — safe only when no applier is running.
+    /// `snapshot()` is installed — safe only while no batch is applying.
     /// Concurrent readers go through `core::Session` (which installs the
     /// pinned snapshot for every execution), or install `snapshot()`
     /// themselves with a `DualStore::SnapshotScope` around
@@ -124,18 +125,20 @@ class OnlineStore {
     EpochManager::Pin pin_;
   };
 
-  /// Pins the current snapshot. Wait-free against the applier.
+  /// Pins the current snapshot. Wait-free against the writer.
   ReadGuard Read() const;
 
   // ---- write path (one injector thread) ----------------------------------
 
   /// Applies `batch` through the sharded pipeline and publishes the
-  /// resulting snapshot to readers. Costs are charged to `meter` (shard
-  /// meters merge in shard order; with one shard the charges are
-  /// bit-identical to the serial store's). Single injector: concurrent
-  /// ApplyUpdates or TuneExclusive calls must be externally serialized;
-  /// concurrent `Read` calls and `Session` executions need no
-  /// coordination at all.
+  /// resulting snapshot to readers. Costs are charged to `meter`: shard
+  /// meters merge in shard order, and since charges are integer
+  /// picoseconds they equal the serial store's exactly at every shard
+  /// count. Single injector: concurrent ApplyUpdates or TuneExclusive
+  /// calls must be externally serialized; concurrent `Read` calls and
+  /// `Session` executions need no coordination at all. The calling
+  /// thread applies shards itself, so it must not have a
+  /// `DualStore::SnapshotScope` installed.
   ///
   /// Open cursors are the exception: the call does not return until
   /// every `ReadGuard` pinned before its publish is released, because
@@ -207,7 +210,7 @@ class OnlineStore {
   // ---- introspection (injector thread / quiescent store only) ------------
 
   /// The store. Only meaningful from the injector thread or while no
-  /// applier is running; readers use `Read()`.
+  /// batch is applying; readers use `Read()`.
   const DualStore& active() const { return *store_; }
 
   /// Batches published so far.
@@ -215,8 +218,9 @@ class OnlineStore {
     return applied_batches_.load(std::memory_order_relaxed);
   }
 
-  /// Share-nothing predicate shards (= applier threads).
-  int num_shards() const { return static_cast<int>(workers_.size()); }
+  /// Share-nothing predicate shards (applied in parallel by the caller
+  /// thread and `num_shards - 1` pool workers).
+  int num_shards() const { return store_->num_shards(); }
 
   /// Deterministic storage-tier footprint of the online store: the
   /// dictionary plus the index slabs of the single copy it keeps.
@@ -236,8 +240,8 @@ class OnlineStore {
   /// dictionary only) is moved in, the triple table deserialized from its
   /// slab image, and the graph re-imports the partitions that were
   /// resident at save time.
-  /// On failure `*status` is set and the appliers never start (the
-  /// destructor is safe either way).
+  /// On failure `*status` is set and construction stops before
+  /// `FinishConstruction` (the destructor is safe either way).
   struct RestoreTag {};
   OnlineStore(RestoreTag, rdf::Dataset&& restored,
               const DualStoreConfig& config, std::string_view table_payload,
@@ -246,7 +250,7 @@ class OnlineStore {
 
   /// Shared constructor tail: flips every component into online
   /// (copy-on-write / deferred-reclaim) mode, publishes the first
-  /// snapshot, and starts the shard applier threads.
+  /// snapshot, and starts the shard pool's `num_shards - 1` workers.
   void FinishConstruction();
 
   /// Best-effort cleanup of files superseded by the newest snapshots
@@ -255,39 +259,12 @@ class OnlineStore {
   /// stale files are harmless at recovery.
   void PruneObsoleteFiles();
 
-  /// One routed mutation: its slot in the batch plus resolved ids.
-  struct ShardOp {
-    uint32_t index = 0;  ///< position in the batch (outcome slot)
-    bool is_insert = false;
-    rdf::Triple triple;
-  };
-
-  // Outcome bits a shard applier reports per op.
-  static constexpr uint8_t kOutcomeApplied = 1;
-  static constexpr uint8_t kOutcomeGraphMaintained = 2;
-
-  /// One persistent shard applier. The injector hands it a task under
-  /// `mu` and waits for `done`; the worker owns its shard's table trees
-  /// and graph partitions exclusively while running.
-  struct Worker {
-    std::thread thread;
-    std::mutex mu;
-    std::condition_variable cv;
-    bool has_work = false;  // guarded by mu
-    bool done = true;       // guarded by mu
-    bool stop = false;      // guarded by mu
-    // Task (valid while has_work/!done):
-    const std::vector<ShardOp>* ops = nullptr;
-    CostMeter* meter = nullptr;
-    std::vector<uint8_t>* outcomes = nullptr;
-    Status status;  // task result, read by the injector after `done`
-  };
-
-  void WorkerLoop(int shard);
-
-  /// Phase II body: applies `ops` (in order) to shard `shard`'s slabs and
-  /// partitions, recording outcomes and charging `m`.
-  Status ApplyShard(int shard, const std::vector<ShardOp>& ops, CostMeter* m,
+  /// Phase II body for one shard: applies the batch's ops at `ops`
+  /// (indices into `batch.ops` and `triples`, in op order) to shard
+  /// `shard`'s slabs and partitions, recording outcomes and charging `m`.
+  Status ApplyShard(int shard, const UpdateBatch& batch,
+                    const std::vector<rdf::Triple>& triples,
+                    const std::vector<uint32_t>& ops, CostMeter* m,
                     std::vector<uint8_t>* outcomes);
 
   /// Phase IV: captures the live state, publishes it, waits for the
@@ -295,7 +272,7 @@ class OnlineStore {
   /// snapshot could reach.
   void PublishAndReclaim();
 
-  /// One shard's applier telemetry, resolved against the global registry
+  /// One shard's apply telemetry, resolved against the global registry
   /// at construction (`store.shard<k>.*` metrics; shared by every store
   /// with a shard k — the registry merges, per-run deltas come from
   /// snapshots).
@@ -309,8 +286,11 @@ class OnlineStore {
   mutable EpochManager epochs_;
   /// The published snapshot; replaced (never mutated) by the injector.
   std::atomic<const DualStore::Snapshot*> snapshot_{nullptr};
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<ShardMetrics> shard_metrics_;  // aligned with workers_
+  /// Runs the shards of a batch beside the caller thread; null at one
+  /// shard. Never shared: `ParallelFor`'s caller runs queued tasks while
+  /// it waits, so a foreign task could run inside `ApplyUpdates`.
+  std::unique_ptr<ThreadPool> pool_;
+  std::vector<ShardMetrics> shard_metrics_;  // one per shard
   std::atomic<uint64_t> applied_batches_{0};
   Status poisoned_ = Status::OK();  // injector-thread state
 
