@@ -11,7 +11,7 @@
 ///     publishing it in a private slot — a handful of atomic operations,
 ///     no lock, no waiting on the writer. DSKG's read units are coarse
 ///     (one whole query), so pin overhead is noise.
-///   * The single applier thread publishes a new store state (an atomic
+///   * The single writer thread publishes a new store state (an atomic
 ///     pointer/index swap done by the caller), *advances* the epoch, and
 ///     then *waits for the old epoch to drain*: once no reader slot holds
 ///     an epoch at or below the pre-advance value, every in-flight reader
@@ -24,7 +24,7 @@
 /// writer is draining while reading the *new* state's predecessor. With
 /// seq_cst, a reader whose slot holds epoch `e` observed every publication
 /// the writer made before advancing to `e`, which is exactly the guarantee
-/// `WaitUntilDrained` hands to the applier.
+/// `WaitUntilDrained` hands to the writer.
 ///
 /// Slots: a fixed array of cache-line-aligned atomics. A pin claims the
 /// first free slot with a CAS scan (readers outnumbering slots spin-wait;
@@ -34,12 +34,10 @@
 #include <cassert>
 #include <cstdint>
 #include <thread>
-#include <utility>
-#include <vector>
 
 namespace dskg {
 
-/// Coordinates one writer (the applier) with many pinned readers.
+/// Coordinates one writer with many pinned readers.
 class EpochManager {
  public:
   static constexpr size_t kMaxReaders = 64;
@@ -160,51 +158,6 @@ class EpochManager {
 
   std::atomic<uint64_t> global_epoch_{1};
   Slot slots_[kMaxReaders];
-};
-
-/// Writer-side queue of retired state tagged with the epoch it was retired
-/// in. Each shard of the online store keeps its own queues (share-nothing:
-/// no cross-shard synchronization on the reclamation path); the injector
-/// drains them after `WaitUntilDrained` proves the tagged epochs have no
-/// remaining observers.
-///
-/// Not thread-safe: one owner pushes and drains. The epoch tag exists so
-/// state that must outlive *two* publications (the dictionary's two-stage
-/// id reclamation) can sit in the same queue as single-batch retirees.
-template <typename T>
-class RetireQueue {
- public:
-  /// Queues `item`, retired as of `epoch` (its readers may be pinned at
-  /// `epoch` or earlier, never later).
-  void Push(uint64_t epoch, T item) {
-    items_.push_back({epoch, std::move(item)});
-  }
-
-  /// Invokes `fn(item)` on — and removes — every item whose retire epoch
-  /// is <= `drained_epoch`. Items retire in epoch order, so this is a
-  /// prefix drain.
-  template <typename Fn>
-  void Drain(uint64_t drained_epoch, Fn&& fn) {
-    size_t keep = 0;
-    for (size_t i = 0; i < items_.size(); ++i) {
-      if (items_[i].epoch <= drained_epoch) {
-        fn(std::move(items_[i].item));
-      } else {
-        items_[keep++] = std::move(items_[i]);
-      }
-    }
-    items_.resize(keep);
-  }
-
-  size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
-
- private:
-  struct Entry {
-    uint64_t epoch;
-    T item;
-  };
-  std::vector<Entry> items_;
 };
 
 }  // namespace dskg

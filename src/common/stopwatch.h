@@ -23,9 +23,6 @@ class Stopwatch {
         .count();
   }
 
-  /// Elapsed wall-clock seconds since start.
-  double ElapsedSeconds() const { return ElapsedMicros() * 1e-6; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

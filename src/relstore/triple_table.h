@@ -15,8 +15,8 @@
 /// Share-nothing sharding: the table is split into `num_shards` sub-shards
 /// partitioned by `predicate % num_shards`. Each sub-shard owns its own
 /// three permutation trees, row counter and statistics maps, so the online
-/// store's per-shard applier threads mutate disjoint state with no
-/// cross-shard synchronization. With one shard (the default, and every
+/// store's per-shard apply tasks mutate disjoint state with no cross-shard
+/// synchronization. With one shard (the default, and every
 /// offline caller) the layout, operation order, statistics and simulated
 /// charges are exactly the unsharded table's. Bound-predicate operations
 /// touch one sub-shard; predicate-unbound scans visit sub-shards in index
@@ -57,10 +57,6 @@ struct BoundPattern {
   std::optional<rdf::TermId> subject;
   std::optional<rdf::TermId> predicate;
   std::optional<rdf::TermId> object;
-
-  int NumBound() const {
-    return (subject ? 1 : 0) + (predicate ? 1 : 0) + (object ? 1 : 0);
-  }
 };
 
 /// Per-predicate statistics used by the cardinality estimator.
@@ -172,7 +168,7 @@ class TripleTable {
 
   /// Lifetime copy-on-write clones across one sub-shard's three index
   /// trees (monotone; per-batch churn is a delta of two reads). Read it
-  /// from the sub-shard's applier thread or while quiescent.
+  /// from the task applying the sub-shard or while quiescent.
   uint64_t CowClonesOf(int sub_shard) const {
     const SubShard& s = shards_[static_cast<size_t>(sub_shard)];
     return s.spo.cow_clones() + s.pos.cow_clones() + s.osp.cow_clones();

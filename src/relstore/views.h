@@ -123,18 +123,6 @@ class MaterializedViewManager {
   /// Signatures of all views, ascending (deterministic).
   std::vector<std::string> Signatures() const;
 
-  /// True if a view with exactly `signature` exists.
-  bool HasSignature(const std::string& signature) const {
-    return FindView(signature) != nullptr;
-  }
-
-  /// The generalized defining query of the view with `signature`, or
-  /// nullptr if absent (used to mirror catalogs between stores).
-  const sparql::Query* DefinitionOf(const std::string& signature) const {
-    const MaterializedView* v = FindView(signature);
-    return v == nullptr ? nullptr : &v->definition;
-  }
-
   // ---- snapshots (the online store's concurrent read path) --------------
 
   /// An immutable view of the catalog (by pointer — valid until
