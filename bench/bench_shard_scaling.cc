@@ -4,9 +4,10 @@
 // Not a figure of the paper — the paper's store is offline between
 // batches. This bench exercises the sharded copy-on-write ingestion
 // pipeline built on top of the reproduction: an `OnlineStore` splits its
-// triple table and graph store into N predicate shards, each with its
-// own applier thread; the injector routes every batch's ops and merges
-// the outcomes.
+// triple table and graph store into N predicate shards; the injector
+// routes every batch's ops, the shards apply them in parallel on the
+// store's pool of N - 1 workers plus the injector thread itself, and the
+// injector merges the outcomes.
 //
 // Reported per shard count:
 //   * inserted / deleted and the simulated apply cost — shard-count
@@ -110,7 +111,8 @@ void RunShardScaling(JsonReporter* json) {
   std::printf(
       "inserted/deleted and the simulated apply cost are shard-count\n"
       "invariant (id resolution and per-shard application preserve op\n"
-      "order); wall-clock throughput is what the extra appliers buy.\n"
+      "order); wall-clock throughput is what parallel shard apply buys\n"
+      "(N shards run on N - 1 pool workers plus the injector thread).\n"
       "store_bytes is the single-copy storage tier — snapshots add only\n"
       "transient copy-on-write deltas, reclaimed after each batch.\n");
 }

@@ -2,16 +2,18 @@
 #define DSKG_COMMON_THREAD_POOL_H_
 
 /// \file thread_pool.h
-/// A fixed-size, work-stealing-free thread pool for DSKG's parallel query
-/// paths (sharded scans in the relational executor, batch-parallel query
-/// execution in the workload runner).
+/// A fixed-size, work-stealing-free thread pool for DSKG's parallel paths:
+/// sharded graph traversal, batch-parallel query execution in the
+/// workload runner, dataset generation, parallel bulk load, the wire
+/// server's request workers, and the online store's shard appliers (one
+/// pool per store, `num_shards - 1` workers beside the calling thread).
 ///
 /// Design notes:
 ///
 ///   * Workers pull from one FIFO queue under a mutex. DSKG's parallel
-///     units (one index-leaf shard, one query of a batch) are coarse —
-///     thousands to millions of simulated operations each — so queue
-///     contention is negligible and the simplicity pays for itself.
+///     units (one traversal slice, one query of a batch, one store
+///     shard's share of an update batch) are coarse, so queue contention
+///     is negligible and the simplicity pays for itself.
 ///     There is deliberately no work stealing: execution order and result
 ///     merging stay deterministic because callers collect results by
 ///     submission index, never by completion order.
@@ -22,9 +24,9 @@
 ///
 /// The pool is shared-nothing with respect to *task state*: tasks must not
 /// share mutable data unless that data is itself thread-safe (see the
-/// atomic `CostMeter`). The runner and executor uphold this by giving
-/// every shard/query its own meter and output table and merging them in
-/// deterministic order afterwards.
+/// atomic `CostMeter`). The runner, the traversal matcher and the online
+/// store uphold this by giving every shard/query its own meter and output
+/// and merging them in deterministic order afterwards.
 
 #include <condition_variable>
 #include <functional>

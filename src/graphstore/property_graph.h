@@ -281,8 +281,8 @@ class PropertyGraph {
   }
 
   /// Lifetime count of chunks one sub-shard copied on write (monotone;
-  /// per-batch churn is a delta of two reads). Read it from the
-  /// sub-shard's applier thread or while quiescent.
+  /// per-batch churn is a delta of two reads). Read it from the task
+  /// applying the sub-shard or while quiescent.
   uint64_t CowChunksClonedOf(int shard) const {
     return shards_[static_cast<size_t>(shard)].chunks_cloned;
   }
